@@ -7,7 +7,6 @@ import (
 	"camouflage/internal/obs"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
-	"camouflage/internal/stats"
 )
 
 // EnableObs attaches the observability bundle to this system: every
@@ -77,18 +76,12 @@ func (s *System) EnableObs(b *obs.Bundle, label string) {
 
 	for i, sh := range s.ReqShapers {
 		if sh != nil {
-			registerShaperGauges(scope, fmt.Sprintf("shaper.req.%d.", i), shaperProbe{
-				queueLen: sh.QueueLen, credits: sh.CreditBalance, fakeCredits: sh.FakeCreditBalance,
-				stats: sh.Stats, drift: sh.DistributionDrift, target: sh.TargetPMF, shaped: sh.Shaped,
-			})
+			registerShaperGauges(scope, fmt.Sprintf("shaper.req.%d.", i), sh)
 		}
 	}
 	for i, sh := range s.RespShapers {
 		if sh != nil {
-			registerShaperGauges(scope, fmt.Sprintf("shaper.resp.%d.", i), shaperProbe{
-				queueLen: sh.QueueLen, credits: sh.CreditBalance, fakeCredits: sh.FakeCreditBalance,
-				stats: sh.Stats, drift: sh.DistributionDrift, target: sh.TargetPMF, shaped: sh.Shaped,
-			})
+			registerShaperGauges(scope, fmt.Sprintf("shaper.resp.%d.", i), sh)
 		}
 	}
 
@@ -127,39 +120,29 @@ func (s *System) EnableObs(b *obs.Bundle, label string) {
 	}
 }
 
-// shaperProbe abstracts over request and response shapers for gauge
-// registration.
-type shaperProbe struct {
-	queueLen    func() int
-	credits     func() int
-	fakeCredits func() int
-	stats       func() shaper.Stats
-	drift       func() float64
-	target      func() []float64
-	shaped      *stats.InterArrivalRecorder
-}
-
 // registerShaperGauges wires one shaper's instruments, including the
 // paper's core security metric as two gauges: drift_l1 (cumulative
 // emitted-vs-target L1 distance) and drift_l1_epoch (the same distance
 // over only the releases since the previous publish, so a shaper that
 // drifts late in a run is visible immediately rather than diluted by
-// history).
-func registerShaperGauges(scope *obs.Scope, p string, pr shaperProbe) {
-	scope.GaugeFunc(p+"queue_depth", func() float64 { return float64(pr.queueLen()) })
-	scope.GaugeFunc(p+"credit_balance", func() float64 { return float64(pr.credits()) })
-	scope.GaugeFunc(p+"fake_credit_balance", func() float64 { return float64(pr.fakeCredits()) })
-	scope.GaugeFunc(p+"released_real", func() float64 { return float64(pr.stats().ReleasedReal) })
-	scope.GaugeFunc(p+"released_fake", func() float64 { return float64(pr.stats().ReleasedFake) })
-	scope.GaugeFunc(p+"delayed_cycles", func() float64 { return float64(pr.stats().DelayedCycles) })
-	scope.GaugeFunc(p+"drift_l1", pr.drift)
+// history). The per-epoch gauge reads the Shaped recorder installed at
+// registration time.
+func registerShaperGauges(scope *obs.Scope, p string, sh *shaper.Shaper) {
+	shaped := sh.Shaped
+	scope.GaugeFunc(p+"queue_depth", func() float64 { return float64(sh.QueueLen()) })
+	scope.GaugeFunc(p+"credit_balance", func() float64 { return float64(sh.CreditBalance()) })
+	scope.GaugeFunc(p+"fake_credit_balance", func() float64 { return float64(sh.FakeCreditBalance()) })
+	scope.GaugeFunc(p+"released_real", func() float64 { return float64(sh.Stats().ReleasedReal) })
+	scope.GaugeFunc(p+"released_fake", func() float64 { return float64(sh.Stats().ReleasedFake) })
+	scope.GaugeFunc(p+"delayed_cycles", func() float64 { return float64(sh.Stats().DelayedCycles) })
+	scope.GaugeFunc(p+"drift_l1", sh.DistributionDrift)
 
 	// Per-epoch drift closes over the previous publish's counts; the
 	// closure runs only from the sim goroutine (Scope.Publish), so the
 	// captured slice needs no lock.
-	prev := make([]uint64, len(pr.shaped.Hist.Counts))
+	prev := make([]uint64, len(shaped.Hist.Counts))
 	scope.GaugeFunc(p+"drift_l1_epoch", func() float64 {
-		cur := pr.shaped.Hist.Counts
+		cur := shaped.Hist.Counts
 		var total uint64
 		delta := make([]uint64, len(cur))
 		for i := range cur {
@@ -170,7 +153,7 @@ func registerShaperGauges(scope *obs.Scope, p string, pr shaperProbe) {
 		if total == 0 {
 			return 0
 		}
-		target := pr.target()
+		target := sh.TargetPMF()
 		var d float64
 		for i := range delta {
 			e := float64(delta[i]) / float64(total)

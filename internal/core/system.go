@@ -29,8 +29,8 @@ type System struct {
 	Kernel *sim.Kernel
 
 	Cores       []*cpu.Core
-	ReqShapers  []*shaper.RequestShaper  // indexed by core, nil if unshaped
-	RespShapers []*shaper.ResponseShaper // indexed by core, nil if unshaped
+	ReqShapers  []*shaper.Shaper // indexed by core, nil if unshaped
+	RespShapers []*shaper.Shaper // indexed by core, nil if unshaped
 	ReqNet      *noc.Link
 	RespNet     *noc.Link
 	// MCs and Channels hold one controller/channel pair per DRAM channel;
@@ -163,7 +163,7 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 	s.RespNet.SetRoute(func(req *mem.Request) mem.ReqPort { return s.Cores[req.Core] })
 
 	// Request shapers between cores and the request channel.
-	s.ReqShapers = make([]*shaper.RequestShaper, cfg.Cores)
+	s.ReqShapers = make([]*shaper.Shaper, cfg.Cores)
 	reqShaped := make(map[int]bool)
 	for _, c := range cfg.reqShapedCores() {
 		reqShaped[c] = true
@@ -183,7 +183,7 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 	}
 
 	// Response shapers at the controller egress.
-	s.RespShapers = make([]*shaper.ResponseShaper, cfg.Cores)
+	s.RespShapers = make([]*shaper.Shaper, cfg.Cores)
 	respShaped := make(map[int]bool)
 	for _, c := range cfg.respShapedCores() {
 		respShaped[c] = true

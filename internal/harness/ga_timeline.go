@@ -18,36 +18,34 @@ import (
 // MISE-estimated average slowdown. It returns the GA result and the bin
 // configurations of the best child.
 func onlineBDCGA(ctx context.Context, sys *core.System, population, generations int, rng *sim.RNG) (ga.Result, map[int]shaper.Config, map[int]shaper.Config, error) {
+	// One slot per shaper, request shapers first: the genome holds one
+	// credit segment per slot in this order, and each slot's best
+	// configuration lands in its direction's map.
+	reqCfgs := map[int]shaper.Config{}
+	respCfgs := map[int]shaper.Config{}
 	type slot struct {
-		base  shaper.Config
-		apply func(credits []int)
+		core int
+		sh   *shaper.Shaper
+		base shaper.Config
+		best map[int]shaper.Config
 	}
 	var slots []slot
-	for i, sh := range sys.ReqShapers {
-		if sh == nil {
-			continue
+	for _, dir := range []struct {
+		shapers []*shaper.Shaper
+		best    map[int]shaper.Config
+	}{{sys.ReqShapers, reqCfgs}, {sys.RespShapers, respCfgs}} {
+		for i, sh := range dir.shapers {
+			if sh != nil {
+				slots = append(slots, slot{core: i, sh: sh, base: sh.Config(), best: dir.best})
+			}
 		}
-		sh := sh
-		slots = append(slots, slot{base: sh.Config(), apply: func(credits []int) {
-			c := sh.Config()
-			copy(c.Credits, credits)
-			ensureCredit(c.Credits)
-			sh.Reconfigure(c)
-		}})
-		_ = i
 	}
-	for i, sh := range sys.RespShapers {
-		if sh == nil {
-			continue
-		}
-		sh := sh
-		slots = append(slots, slot{base: sh.Config(), apply: func(credits []int) {
-			c := sh.Config()
-			copy(c.Credits, credits)
-			ensureCredit(c.Credits)
-			sh.Reconfigure(c)
-		}})
-		_ = i
+	// withCredits returns sh's active configuration carrying credits.
+	withCredits := func(sh *shaper.Shaper, credits []int) shaper.Config {
+		c := sh.Config()
+		copy(c.Credits, credits)
+		ensureCredit(c.Credits)
+		return c
 	}
 	if len(slots) == 0 {
 		return ga.Result{}, nil, nil, fmt.Errorf("harness: online GA needs at least one shaper")
@@ -87,7 +85,7 @@ func onlineBDCGA(ctx context.Context, sys *core.System, population, generations 
 	// state the previous generation's last child left behind.
 	gaCfg.OnGeneration = func(int) {
 		for _, s := range slots {
-			s.apply(s.base.Credits)
+			s.sh.Reconfigure(withCredits(s.sh, s.base.Credits))
 		}
 		for c := 0; c < cores; c++ {
 			sys.Elevate(c, mise.HPMPriority, sys.Kernel.Now()+GAEpochCycles)
@@ -98,7 +96,7 @@ func onlineBDCGA(ctx context.Context, sys *core.System, population, generations 
 	fitness := func(g ga.Genome) float64 {
 		segs := ga.SplitSegments(g, binsPer)
 		for i, s := range slots {
-			s.apply(segs[i])
+			s.sh.Reconfigure(withCredits(s.sh, segs[i]))
 		}
 		// One shared epoch measures all cores.
 		before := make([]struct {
@@ -139,28 +137,8 @@ func onlineBDCGA(ctx context.Context, sys *core.System, population, generations 
 
 	// Decode the best genome back into per-core configurations.
 	segs := ga.SplitSegments(res.Best, binsPer)
-	reqCfgs := map[int]shaper.Config{}
-	respCfgs := map[int]shaper.Config{}
-	idx := 0
-	for i, sh := range sys.ReqShapers {
-		if sh == nil {
-			continue
-		}
-		c := sh.Config()
-		copy(c.Credits, segs[idx])
-		ensureCredit(c.Credits)
-		reqCfgs[i] = c
-		idx++
-	}
-	for i, sh := range sys.RespShapers {
-		if sh == nil {
-			continue
-		}
-		c := sh.Config()
-		copy(c.Credits, segs[idx])
-		ensureCredit(c.Credits)
-		respCfgs[i] = c
-		idx++
+	for i, s := range slots {
+		s.best[s.core] = withCredits(s.sh, segs[i])
 	}
 	return res, reqCfgs, respCfgs, nil
 }

@@ -8,9 +8,9 @@ import (
 	"camouflage/internal/stats"
 )
 
-// binCore is the credit machinery shared by the request and response
-// shapers: the live credit bins, the unused-credit bins feeding the fake
-// traffic generator, and the replenishment clock.
+// binCore is a Shaper's credit machinery, the same for ReqC and RespC:
+// the live credit bins, the unused-credit bins feeding the fake traffic
+// generator, and the replenishment clock.
 type binCore struct {
 	cfg     Config
 	credits []int

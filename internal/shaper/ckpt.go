@@ -100,33 +100,10 @@ func (b *binCore) Restore(d *ckpt.Decoder) error {
 	return d.Err()
 }
 
-// Snapshot serializes the request shaper: credit core (which carries the
-// shared RNG), the input queue with its waiting requests, and both
-// inter-arrival recorders. The fake-ID counter is owned by the System.
-func (s *RequestShaper) Snapshot(e *ckpt.Encoder) {
-	s.bins.Snapshot(e)
-	s.in.Snapshot(e)
-	s.Intrinsic.Snapshot(e)
-	s.Shaped.Snapshot(e)
-}
-
-// Restore implements ckpt.Stater.
-func (s *RequestShaper) Restore(d *ckpt.Decoder) error {
-	if err := s.bins.Restore(d); err != nil {
-		return err
-	}
-	if err := s.in.Restore(d); err != nil {
-		return err
-	}
-	if err := s.Intrinsic.Restore(d); err != nil {
-		return err
-	}
-	return s.Shaped.Restore(d)
-}
-
-// Snapshot serializes the response shaper: credit core, buffered
-// responses, and both inter-arrival recorders.
-func (s *ResponseShaper) Snapshot(e *ckpt.Encoder) {
+// Snapshot serializes the shaper: credit core (which carries the shared
+// RNG), the queue with its waiting transactions, and both inter-arrival
+// recorders. The fake-ID counter is owned by the System.
+func (s *Shaper) Snapshot(e *ckpt.Encoder) {
 	s.bins.Snapshot(e)
 	s.queue.Snapshot(e)
 	s.Intrinsic.Snapshot(e)
@@ -134,7 +111,7 @@ func (s *ResponseShaper) Snapshot(e *ckpt.Encoder) {
 }
 
 // Restore implements ckpt.Stater.
-func (s *ResponseShaper) Restore(d *ckpt.Decoder) error {
+func (s *Shaper) Restore(d *ckpt.Decoder) error {
 	if err := s.bins.Restore(d); err != nil {
 		return err
 	}

@@ -11,7 +11,7 @@ import (
 
 // drive pushes a deterministic request pattern through a shaper for n
 // cycles.
-func drive(s *RequestShaper, id *uint64, n sim.Cycle) {
+func drive(s *Shaper, id *uint64, n sim.Cycle) {
 	for now := sim.Cycle(0); now < n; now++ {
 		if now%37 == 0 {
 			*id++
@@ -22,7 +22,7 @@ func drive(s *RequestShaper, id *uint64, n sim.Cycle) {
 }
 
 // snap serializes a request shaper's full state.
-func snap(s *RequestShaper) []byte {
+func snap(s *Shaper) []byte {
 	var e ckpt.Encoder
 	s.Snapshot(&e)
 	return e.Bytes()

@@ -17,10 +17,10 @@ func (c *collect) TrySend(_ sim.Cycle, req *mem.Request) bool {
 	return true
 }
 
-// ExampleRequestShaper shows the core mechanism: a burst of four
+// ExampleNewRequestShaper shows the core mechanism: a burst of four
 // back-to-back requests is released according to the configured
 // inter-arrival distribution, not its own timing.
-func ExampleRequestShaper() {
+func ExampleNewRequestShaper() {
 	// Two releases per window may be back-to-back (bin 0); the rest must
 	// wait at least 64 cycles (bin 5).
 	credits := make([]int, stats.DefaultBins)

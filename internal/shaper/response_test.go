@@ -23,7 +23,7 @@ func (e *elevator) Elevate(core, level int, until sim.Cycle) {
 	}{core, level, until})
 }
 
-func newRespShaper(cfg Config, mc PriorityElevator) (*ResponseShaper, *port) {
+func newRespShaper(cfg Config, mc PriorityElevator) (*Shaper, *port) {
 	p := &port{}
 	var id uint64
 	s, err := NewResponseShaper(2, cfg, 8, p, mc, sim.NewRNG(3), &id)

@@ -44,7 +44,7 @@ func cfgWith(credits []int, window sim.Cycle, fake bool) Config {
 	}
 }
 
-func newReqShaper(cfg Config) (*RequestShaper, *port, *uint64) {
+func newReqShaper(cfg Config) (*Shaper, *port, *uint64) {
 	p := &port{}
 	var id uint64
 	s, err := NewRequestShaper(0, cfg, 16, p, sim.NewRNG(1), &id)
