@@ -38,7 +38,10 @@ func workerHeartbeats() *campaign.HeartbeatWriter {
 	if err != nil || ms <= 0 {
 		return nil
 	}
-	hw := campaign.NewHeartbeatWriter(os.NewFile(3, "camsim-heartbeat"), time.Duration(ms)*time.Millisecond)
+	pipe := os.NewFile(3, "camsim-heartbeat")
+	hw := campaign.NewHeartbeatWriter(func(f campaign.HeartbeatFrame) error {
+		return campaign.WriteFrameJSON(pipe, f)
+	}, time.Duration(ms)*time.Millisecond)
 	hw.Emit(campaign.FrameStart)
 	return hw
 }

@@ -207,15 +207,16 @@ func readFrame(r io.Reader) (HeartbeatFrame, error) {
 	return f, nil
 }
 
-// HeartbeatWriter emits framed heartbeats on an inherited pipe. Beat is
-// shaped to plug straight into core.WithHeartbeatFunc; grid frames are
-// throttled to the configured interval so a fast simulation does not
-// flood the pipe. All methods are safe for concurrent use and degrade to
-// no-ops once the pipe breaks (the supervisor died; the worker finishes
-// on its own).
+// HeartbeatWriter emits heartbeat frames into a sink: the length-prefixed
+// fd-3 pipe of a process-isolated worker, or a fenced beat message on a
+// dispatch connection. Beat is shaped to plug straight into
+// core.WithHeartbeatFunc; grid frames are throttled to the configured
+// interval so a fast simulation does not flood the sink. All methods are
+// safe for concurrent use and degrade to no-ops once the sink fails (the
+// supervisor died; the worker finishes on its own).
 type HeartbeatWriter struct {
 	mu        sync.Mutex
-	f         *os.File
+	sink      func(HeartbeatFrame) error
 	every     time.Duration
 	last      time.Time
 	lastCycle uint64
@@ -236,13 +237,15 @@ func (w *HeartbeatWriter) SetTelemetry(tracker *obs.DeltaTracker, monitor *obs.S
 	w.mu.Unlock()
 }
 
-// NewHeartbeatWriter wraps f (nil for a no-op writer); every <= 0
-// selects DefaultHeartbeatEvery.
-func NewHeartbeatWriter(f *os.File, every time.Duration) *HeartbeatWriter {
+// NewHeartbeatWriter hands frames to sink (nil for a no-op writer); every
+// <= 0 selects DefaultHeartbeatEvery. The first error sink returns stops
+// all further emission. sink runs under the writer's lock, so frames
+// reach it in emission order; it must not call back into the writer.
+func NewHeartbeatWriter(sink func(HeartbeatFrame) error, every time.Duration) *HeartbeatWriter {
 	if every <= 0 {
 		every = DefaultHeartbeatEvery
 	}
-	return &HeartbeatWriter{f: f, every: every}
+	return &HeartbeatWriter{sink: sink, every: every}
 }
 
 // Beat records a supervision-grid heartbeat, emitting a frame if the
@@ -251,7 +254,7 @@ func (w *HeartbeatWriter) Beat(hb core.Heartbeat) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.lastCycle = hb.Cycle
-	if w.f == nil || w.broken || time.Since(w.last) < w.every {
+	if w.sink == nil || w.broken || time.Since(w.last) < w.every {
 		return
 	}
 	w.last = time.Now()
@@ -268,11 +271,18 @@ func (w *HeartbeatWriter) Beat(hb core.Heartbeat) {
 func (w *HeartbeatWriter) Emit(kind string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil || w.broken {
+	if w.sink == nil || w.broken {
 		return
 	}
 	w.last = time.Now()
 	w.writeLocked(HeartbeatFrame{Kind: kind, Cycle: w.lastCycle, RSS: readRSS()})
+}
+
+// LastCycle returns the cycle of the most recent Beat, emitted or not.
+func (w *HeartbeatWriter) LastCycle() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.lastCycle
 }
 
 func (w *HeartbeatWriter) writeLocked(f HeartbeatFrame) {
@@ -281,7 +291,7 @@ func (w *HeartbeatWriter) writeLocked(f HeartbeatFrame) {
 	// held back, so the supervisor always sees the complete attempt.
 	f.Metrics = w.tracker.Delta()
 	f.Alerts = w.monitor.Drain()
-	if err := writeFrame(w.f, f); err != nil {
+	if err := w.sink(f); err != nil {
 		w.broken = true
 	}
 }
@@ -391,7 +401,8 @@ func ServeWorker(jobs []Job) int {
 		return WorkerExitProtocol
 	}
 
-	hw := NewHeartbeatWriter(os.NewFile(3, "campaign-heartbeat"), time.Duration(req.HeartbeatEveryMS)*time.Millisecond)
+	pipe := os.NewFile(3, "campaign-heartbeat")
+	hw := NewHeartbeatWriter(func(f HeartbeatFrame) error { return writeFrame(pipe, f) }, time.Duration(req.HeartbeatEveryMS)*time.Millisecond)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
 	if req.CheckpointDir != "" {

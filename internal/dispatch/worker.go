@@ -235,16 +235,20 @@ func (w *workerState) serveConn(ctx context.Context, conn net.Conn) error {
 		switch m.Type {
 		case msgAssign:
 			runMu.Lock()
-			if runDone != nil {
-				select {
-				case <-runDone: // previous attempt finished
-				default:
-					runMu.Unlock()
-					cw.send(msg{Type: msgResult, JobName: m.JobName, JobHash: m.JobHash, Attempt: m.Attempt, Fence: m.Fence,
-						Error: "worker already running a job (supervisor protocol error)", Class: campaign.ClassFatal.String()})
-					continue
-				}
+			busy, prev := running != "", runDone
+			runMu.Unlock()
+			if busy {
+				cw.send(msg{Type: msgResult, JobName: m.JobName, JobHash: m.JobHash, Attempt: m.Attempt, Fence: m.Fence,
+					Error: "worker already running a job (supervisor protocol error)", Class: campaign.ClassFatal.String()})
+				continue
 			}
+			if prev != nil {
+				// The previous attempt is over and at most finishing the
+				// delivery of its result, which the supervisor has already
+				// read: wait for it rather than race it.
+				<-prev
+			}
+			runMu.Lock()
 			attemptCtx, c := context.WithCancel(ctx)
 			cancel = c
 			running = m.JobHash
@@ -253,7 +257,18 @@ func (w *workerState) serveConn(ctx context.Context, conn net.Conn) error {
 			runMu.Unlock()
 			go func(m msg) {
 				defer close(done)
-				w.runAssignment(attemptCtx, cw, m)
+				result := w.runAssignment(attemptCtx, cw, m)
+				// Free the worker before reporting: once the supervisor
+				// has the result it may assign the next job at once.
+				runMu.Lock()
+				running = ""
+				runMu.Unlock()
+				if serr := cw.send(result); serr != nil {
+					// The connection died with the result in hand. The
+					// supervisor re-leases the job; determinism makes the
+					// re-run identical.
+					w.logf("dispatch worker: could not deliver result for %s: %v", m.JobName, serr)
+				}
 			}(m)
 		case msgCancel:
 			cancelRunning(m.JobHash)
@@ -267,8 +282,9 @@ func (w *workerState) serveConn(ctx context.Context, conn net.Conn) error {
 	}
 }
 
-// runAssignment executes one assigned attempt and reports its result.
-func (w *workerState) runAssignment(ctx context.Context, cw *connWriter, m msg) {
+// runAssignment executes one assigned attempt, streaming its heartbeats
+// on cw, and returns the result message to report.
+func (w *workerState) runAssignment(ctx context.Context, cw *connWriter, m msg) msg {
 	var job *campaign.Job
 	for i := range w.cfg.Jobs {
 		if w.cfg.Jobs[i].Name == m.JobName {
@@ -280,20 +296,22 @@ func (w *workerState) runAssignment(ctx context.Context, cw *connWriter, m msg) 
 	if job == nil {
 		result.Error = fmt.Sprintf("unknown job %q (worker job list diverges from supervisor)", m.JobName)
 		result.Class = campaign.ClassFatal.String()
-		cw.send(result)
-		return
+		return result
 	}
 	if h := job.Hash(); h != m.JobHash {
 		result.Error = fmt.Sprintf("spec hash mismatch for %q: worker built %s, supervisor sent %s", m.JobName, h, m.JobHash)
 		result.Class = campaign.ClassFatal.String()
-		cw.send(result)
-		return
+		return result
 	}
 
 	if w.cfg.CheckpointRoot != "" {
 		ctx = campaign.WithCheckpointDir(ctx, filepath.Join(w.cfg.CheckpointRoot, m.JobHash))
 	}
-	bw := newBeatWriter(cw, m.JobHash, m.Fence, time.Duration(m.HeartbeatMS)*time.Millisecond)
+	// Beats are stamped with the lease fence so the supervisor can fence
+	// out zombies.
+	bw := campaign.NewHeartbeatWriter(func(f campaign.HeartbeatFrame) error {
+		return cw.send(msg{Type: msgBeat, JobHash: m.JobHash, Fence: m.Fence, Beat: &f})
+	}, time.Duration(m.HeartbeatMS)*time.Millisecond)
 	ctx = core.WithHeartbeatFunc(ctx, bw.Beat)
 	if m.WantMetrics {
 		reg := obs.NewRegistry()
@@ -321,11 +339,7 @@ func (w *workerState) runAssignment(ctx context.Context, cw *connWriter, m msg) 
 		result.Error = err.Error()
 		result.Class = campaign.Classify(err).String()
 	}
-	if serr := cw.send(result); serr != nil {
-		// The connection died with the result in hand. The supervisor
-		// re-leases the job; determinism makes the re-run identical.
-		w.logf("dispatch worker: could not deliver result for %s: %v", m.JobName, serr)
-	}
+	return result
 }
 
 // connWriter serializes frame writes on a shared connection (beats from
@@ -347,75 +361,4 @@ func (c *connWriter) send(m msg) error {
 		return err
 	}
 	return nil
-}
-
-// beatWriter is the network twin of campaign.HeartbeatWriter: throttled
-// grid beats with metrics deltas and SLO alerts piggybacked, stamped
-// with the lease fence so the supervisor can fence out zombies.
-type beatWriter struct {
-	mu        sync.Mutex
-	cw        *connWriter
-	hash      string
-	fence     uint64
-	every     time.Duration
-	last      time.Time
-	lastCycle uint64
-	tracker   *obs.DeltaTracker
-	monitor   *obs.SLOMonitor
-}
-
-func newBeatWriter(cw *connWriter, hash string, fence uint64, every time.Duration) *beatWriter {
-	if every <= 0 {
-		every = campaign.DefaultHeartbeatEvery
-	}
-	return &beatWriter{cw: cw, hash: hash, fence: fence, every: every}
-}
-
-func (b *beatWriter) SetTelemetry(tracker *obs.DeltaTracker, monitor *obs.SLOMonitor) {
-	b.mu.Lock()
-	b.tracker = tracker
-	b.monitor = monitor
-	b.mu.Unlock()
-}
-
-// Beat plugs into core.WithHeartbeatFunc: throttled lease-renewing grid
-// frames.
-func (b *beatWriter) Beat(hb core.Heartbeat) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.lastCycle = hb.Cycle
-	if time.Since(b.last) < b.every {
-		return
-	}
-	b.last = time.Now()
-	b.emitLocked(campaign.HeartbeatFrame{
-		Kind:          campaign.FrameGrid,
-		Cycle:         hb.Cycle,
-		RSS:           campaign.ReadRSS(),
-		CkptDegraded:  hb.CheckpointDegraded,
-		CkptSaveFails: hb.CheckpointSaveFailures,
-	})
-}
-
-// Emit writes an unthrottled start/done frame.
-func (b *beatWriter) Emit(kind string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.last = time.Now()
-	b.emitLocked(campaign.HeartbeatFrame{Kind: kind, Cycle: b.lastCycle, RSS: campaign.ReadRSS()})
-}
-
-func (b *beatWriter) emitLocked(f campaign.HeartbeatFrame) {
-	// Deltas are computed only at emission, as on the local pipe: the
-	// next emitted frame carries everything the throttle held back.
-	f.Metrics = b.tracker.Delta()
-	f.Alerts = b.monitor.Drain()
-	b.cw.send(msg{Type: msgBeat, JobHash: b.hash, Fence: b.fence, Beat: &f})
-}
-
-// LastCycle returns the highest cycle this writer observed.
-func (b *beatWriter) LastCycle() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastCycle
 }
