@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz-seeds fuzz experiments campaign-smoke obs-smoke ckpt-smoke chaos-soak worker-smoke dist-smoke bench-kernel bench-kernel-check
+.PHONY: ci fmt vet build test race fuzz-seeds fuzz experiments campaign-smoke obs-smoke ckpt-smoke chaos-soak worker-smoke dist-smoke bench-kernel bench-kernel-check
 
-ci: vet build race fuzz-seeds
+ci: fmt vet build race fuzz-seeds
+
+# Fails when any Go file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

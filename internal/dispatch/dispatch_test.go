@@ -422,7 +422,7 @@ func TestDispatchDrainRefusalRetried(t *testing.T) {
 	err := RunWorker(context.Background(), WorkerConfig{
 		Addr: "pipe", Jobs: jobs, MaxDials: 5,
 		Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-		Log:     t.Logf,
+		Log: t.Logf,
 		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
 			c1, c2 := net.Pipe()
 			if dials.Add(1) < 3 {

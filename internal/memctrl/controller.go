@@ -142,12 +142,12 @@ func NewController(channel *dram.Channel, sched Scheduler, depth, cores int) *Co
 	}
 	g := channel.Geometry()
 	return &Controller{
-		channel:    channel,
-		scheduler:  sched,
-		depth:      depth,
-		egress:     make([]mem.RespPort, cores),
-		prio:       make([]int, cores),
-		prioUntil:  make([]sim.Cycle, cores),
+		channel:      channel,
+		scheduler:    sched,
+		depth:        depth,
+		egress:       make([]mem.RespPort, cores),
+		prio:         make([]int, cores),
+		prioUntil:    make([]sim.Cycle, cores),
 		stats:        ControllerStats{PerCoreServed: make([]uint64, cores)},
 		bankQueued:   make([]int32, g.RanksPerChannel*g.BanksPerRank),
 		banksPerRank: g.BanksPerRank,
