@@ -228,10 +228,18 @@ loop:
 			}
 		}
 	}
-	// Closing the read end unblocks the reader if the child leaked its
-	// write end to a grandchild; normally the reader has already hit EOF.
+	// The child's exit closed its write end, so the reader drains the
+	// frames still buffered (the done frame carries the final metrics
+	// delta) and then hits EOF. Closing the read end first would drop
+	// them; it is only the fallback for a child that leaked its write end
+	// to a grandchild, which keeps the pipe open.
+	select {
+	case <-readerDone:
+	case <-time.After(grace):
+		hbR.Close()
+		<-readerDone
+	}
 	hbR.Close()
-	<-readerDone
 
 	if waitErr == nil {
 		res.ExitCode = 0
