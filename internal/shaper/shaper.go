@@ -131,6 +131,9 @@ func (s *Shaper) Config() Config { return s.bins.cfg.Clone() }
 // control registers; the online GA uses this between children). Credit
 // state resets; queued traffic and lifetime statistics are preserved. An
 // invalid configuration is rejected without touching the running shaper.
+// The window, epoch and oblivious clocks also restart from cycle 0, so a
+// mid-run call replays the windows since then, one per cycle (a known
+// deviation, see DESIGN.md).
 func (s *Shaper) Reconfigure(cfg Config) error {
 	bins, err := newBinCore(cfg, s.rng)
 	if err != nil {
@@ -222,7 +225,7 @@ func (s *Shaper) Tick(now sim.Cycle) {
 	}
 
 	if head := s.queue.Peek(); head != nil {
-		// Downstream full: retry without consuming the credit.
+		// A refused send (downstream full) keeps the credit for the retry.
 		if bin, ok := s.bins.releaseBin(now); ok && s.sendReal(now, head) {
 			s.bins.commitReal(now, bin)
 		}
