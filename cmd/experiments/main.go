@@ -53,7 +53,9 @@ func main() {
 		os.Args = append(os.Args[:1], os.Args[2:]...)
 	}
 
-	run := flag.String("run", "all", "comma-separated experiments to run: table1, table2, fig2, fig3, fig4, fig8, fig9, fig10a, fig10b, fig11, fig12, fig13a, fig13b, fig14, fig15, mi, headline, scalability, epochrate, windowleak, phasedetect, mitts, robustness, all")
+	run := flag.String("run", "all", "comma-separated experiments to run: "+
+		strings.Join(suite.Names(suite.Build(suite.Params{})), ", ")+
+		", all (headline has no simulation of its own: it is derived from the fig12, fig13a and fig13b jobs, which it runs)")
 	cycles := flag.Uint64("cycles", uint64(harness.DefaultRunCycles), "measured cycles per run")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	adversary := flag.String("adversary", "gcc", "adversary benchmark for fig9")
@@ -344,8 +346,8 @@ func writeHistory(path string, hist *obs.History) error {
 }
 
 // emit prints every selected experiment's table in canonical order
-// (merging sweep jobs back into one table) and writes CSVs. It reports
-// whether any experiment failed.
+// (assembled from its jobs' tables by Experiment.Table) and writes CSVs.
+// It reports whether any experiment failed.
 func emit(selected []suite.Experiment, sum *campaign.Summary, csvDir string) bool {
 	byHash := make(map[string]*campaign.Result, len(sum.Results))
 	for _, res := range sum.Results {
@@ -380,13 +382,18 @@ func emit(selected []suite.Experiment, sum *campaign.Summary, csvDir string) boo
 			}
 		}
 		if len(tables) == len(e.Jobs) && complete {
-			table := mergeTables(tables)
-			fmt.Println(strings.TrimRight(table.String(), "\n") + "\n")
-			if csvDir != "" {
-				path := filepath.Join(csvDir, e.Name+".csv")
-				if err := os.WriteFile(path, []byte(table.CSV()), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
-					failed = true
+			table, err := e.Table(tables)
+			if err != nil {
+				errs = append(errs, fmt.Sprintf("%s: %v", e.Name, err))
+				failed = true
+			} else {
+				fmt.Println(strings.TrimRight(table.String(), "\n") + "\n")
+				if csvDir != "" {
+					path := filepath.Join(csvDir, e.Name+".csv")
+					if err := os.WriteFile(path, []byte(table.CSV()), 0o644); err != nil {
+						fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
+						failed = true
+					}
 				}
 			}
 		}
@@ -395,17 +402,4 @@ func emit(selected []suite.Experiment, sum *campaign.Summary, csvDir string) boo
 		}
 	}
 	return failed
-}
-
-// mergeTables folds a sweep's per-point tables into one: the first
-// table's title and columns, every table's rows in sweep order.
-func mergeTables(tables []*harness.Table) *harness.Table {
-	if len(tables) == 1 {
-		return tables[0]
-	}
-	merged := &harness.Table{Title: tables[0].Title, Columns: tables[0].Columns}
-	for _, t := range tables {
-		merged.Rows = append(merged.Rows, t.Rows...)
-	}
-	return merged
 }

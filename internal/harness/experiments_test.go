@@ -2,13 +2,58 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 )
 
 // testCycles keeps integration runs fast while leaving enough windows for
 // stable measurements.
 const testCycles = 250_000
+
+// shared memoizes one expensive result for every test that reads it.
+type shared[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
+
+func (s *shared[T]) get(t *testing.T, run func() (T, error)) T {
+	t.Helper()
+	s.once.Do(func() { s.v, s.err = run() })
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.v
+}
+
+var (
+	fig12Shared shared[*ReqCSpeedupResult]
+	fig13Shared = map[string]*shared[*BDCComparisonResult]{"astar": {}, "mcf": {}}
+)
+
+// fig12Result is Figure 12 at seed 1. It runs longer than the other
+// integration tests: the GA-chosen configs need enough windows to measure
+// stably.
+func fig12Result(t *testing.T) *ReqCSpeedupResult {
+	return fig12Shared.get(t, func() (*ReqCSpeedupResult, error) {
+		return ReqCSpeedup(context.Background(), 400_000, 1)
+	})
+}
+
+// fig13Result is Figure 13 without the GA for victim astar or mcf at
+// seed 1.
+func fig13Result(t *testing.T, victim string) *BDCComparisonResult {
+	return fig13Shared[victim].get(t, func() (*BDCComparisonResult, error) {
+		return BDCComparison(context.Background(), victim, false, testCycles, 1)
+	})
+}
+
+// headlineTables are the tables the suite's headline derives from.
+func headlineTables(t *testing.T) (fig12, fig13a, fig13b *Table) {
+	return fig12Result(t).Table(), fig13Result(t, "astar").Table(), fig13Result(t, "mcf").Table()
+}
 
 func TestFig11AllAppsShapedToDesired(t *testing.T) {
 	res, err := DistributionAccuracy(context.Background(), testCycles, 1)
@@ -48,12 +93,7 @@ func TestFig11AllAppsShapedToDesired(t *testing.T) {
 }
 
 func TestFig12CamouflageBeatsConstantShaper(t *testing.T) {
-	// Longer run than the other integration tests: the GA-chosen configs
-	// need enough windows to measure stably.
-	res, err := ReqCSpeedup(context.Background(), 400_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fig12Result(t)
 	if res.GeoMean < 1.04 {
 		t.Fatalf("geomean speedup %.3f, want > 1.04 (paper: 1.12)", res.GeoMean)
 	}
@@ -155,10 +195,7 @@ func TestFig10RespCPerformanceShape(t *testing.T) {
 
 func TestFig13CamouflageWins(t *testing.T) {
 	for _, victim := range []string{"astar", "mcf"} {
-		res, err := BDCComparison(context.Background(), victim, false, testCycles, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := fig13Result(t, victim)
 		if len(res.Rows) != 11 {
 			t.Fatalf("%d rows", len(res.Rows))
 		}
@@ -322,7 +359,7 @@ func TestGATimelineConverges(t *testing.T) {
 }
 
 func TestHeadlineSpeedups(t *testing.T) {
-	r, err := HeadlineSpeedups(context.Background(), 150_000, 1)
+	r, err := Headline(headlineTables(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,5 +376,52 @@ func TestHeadlineSpeedups(t *testing.T) {
 	}
 	if r.VsTP < r.VsFS {
 		t.Errorf("ordering broken: TP gain %.2f below FS gain %.2f", r.VsTP, r.VsFS)
+	}
+}
+
+// TestHeadlineSurvivesJSONTransport encodes the headline's input tables
+// as the journal and the worker transports do: the headline derived from
+// the decoded tables must render byte-identical, and a table without its
+// unrounded values (a journal record written before they existed) must
+// fail rather than derive a zero headline.
+func TestHeadlineSurvivesJSONTransport(t *testing.T) {
+	fig12, fig13a, fig13b := headlineTables(t)
+	want, err := Headline(fig12, fig13a, fig13b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func(in *Table) *Table {
+		type record struct {
+			Table *Table `json:"table,omitempty"`
+		}
+		line, err := json.Marshal(record{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out record
+		if err := json.Unmarshal(line, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Table
+	}
+	got, err := Headline(roundTrip(fig12), roundTrip(fig13a), roundTrip(fig13b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := got.Table().String(), want.Table().String(); g != w {
+		t.Errorf("headline after JSON round trip:\n%s\nwant:\n%s", g, w)
+	}
+	if *got != *want {
+		t.Errorf("headline after JSON round trip %+v, want %+v", *got, *want)
+	}
+
+	for i, stale := range []*Table{fig12, fig13a, fig13b} {
+		old := *stale
+		old.Values = nil
+		in := []*Table{fig12, fig13a, fig13b}
+		in[i] = roundTrip(&old)
+		if r, err := Headline(in[0], in[1], in[2]); err == nil {
+			t.Errorf("table %q without values derived a headline:\n%s", old.Title, r.Table())
+		}
 	}
 }

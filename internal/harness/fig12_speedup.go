@@ -124,7 +124,7 @@ func ReqCSpeedup(ctx context.Context, cycles sim.Cycle, seed uint64) (*ReqCSpeed
 	return res, nil
 }
 
-// Table renders the result.
+// Table renders the result; its Values hold GeoMean for Headline.
 func (r *ReqCSpeedupResult) Table() *Table {
 	t := &Table{
 		Title:   "Figure 12 — ReqC speedup over a static rate limiter at 1 GB/s",
@@ -134,5 +134,6 @@ func (r *ReqCSpeedupResult) Table() *Table {
 		t.AddRow(row.Name, f3(row.IPCNoShape), f3(row.IPCConstant), f3(row.IPCCamouflage), f2(row.Speedup))
 	}
 	t.AddRow("GEOMEAN", "", "", "", f2(r.GeoMean))
+	t.Values = []float64{r.GeoMean}
 	return t
 }

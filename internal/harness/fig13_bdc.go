@@ -199,7 +199,8 @@ func buildBDCConfig(ctx context.Context, adversary, victim string, useGA bool, c
 	return bdc, nil
 }
 
-// Table renders the result.
+// Table renders the result; its Values hold each row's TP, FS and BDC, in
+// row order, for Headline.
 func (r *BDCComparisonResult) Table() *Table {
 	t := &Table{
 		Title:   "Figure 13 — program average slowdown vs TP and FS (victim " + r.Victim + ")",
@@ -207,6 +208,7 @@ func (r *BDCComparisonResult) Table() *Table {
 	}
 	for _, row := range r.Rows {
 		t.AddRow(row.Adversary+"+"+r.Victim+"x3", f2(row.TP), f2(row.FS), f2(row.BDC))
+		t.Values = append(t.Values, row.TP, row.FS, row.BDC)
 	}
 	t.AddRow("GEOMEAN", f2(r.GeoMeanTP), f2(r.GeoMeanFS), f2(r.GeoMeanBDC))
 	return t

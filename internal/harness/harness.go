@@ -160,6 +160,11 @@ type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
+	// Values carries the unrounded numbers a derived table is computed
+	// from (Headline reads Figure 12's and Figure 13's). String and CSV
+	// never render it; it travels with the table through the journal and
+	// the worker transports, whose JSON round-trips a float64 exactly.
+	Values []float64 `json:",omitempty"`
 }
 
 // AddRow appends a row of cells.

@@ -1,9 +1,8 @@
 package harness
 
 import (
-	"context"
+	"fmt"
 
-	"camouflage/internal/sim"
 	"camouflage/internal/stats"
 )
 
@@ -16,36 +15,43 @@ type HeadlineResult struct {
 	VsFS float64
 }
 
-// HeadlineSpeedups computes the abstract's comparison numbers: the
-// Figure 12 geometric-mean speedup over CS, and the Figure 13
-// average-slowdown ratios over TP and FS (aggregated over both victim
-// sets).
-func HeadlineSpeedups(ctx context.Context, cycles sim.Cycle, seed uint64) (*HeadlineResult, error) {
-	if cycles == 0 {
-		cycles = DefaultRunCycles
-	}
-	fig12, err := ReqCSpeedup(ctx, cycles, seed)
-	if err != nil {
+// Headline derives the abstract's comparison numbers from the Figure 12
+// table and the two Figure 13 tables (victims astar and mcf) with no
+// simulation of its own: the Figure 12 geometric-mean speedup over CS,
+// and the geometric means of the per-workload TP/BDC and FS/BDC slowdown
+// ratios over both victim sets. It reads the tables' unrounded Values; a
+// table without them is an error, never a zero headline.
+func Headline(fig12, fig13a, fig13b *Table) (*HeadlineResult, error) {
+	if err := checkValues(fig12, 1); err != nil {
 		return nil, err
 	}
 	var tpRatios, fsRatios []float64
-	for _, victim := range []string{"astar", "mcf"} {
-		fig13, err := BDCComparison(ctx, victim, false, cycles, seed)
-		if err != nil {
+	for _, fig13 := range []*Table{fig13a, fig13b} {
+		// One TP, FS, BDC triple per row but the GEOMEAN row.
+		if err := checkValues(fig13, 3*(len(fig13.Rows)-1)); err != nil {
 			return nil, err
 		}
-		for _, row := range fig13.Rows {
-			if row.BDC > 0 {
-				tpRatios = append(tpRatios, row.TP/row.BDC)
-				fsRatios = append(fsRatios, row.FS/row.BDC)
+		for v := fig13.Values; len(v) > 0; v = v[3:] {
+			if tp, fs, bdc := v[0], v[1], v[2]; bdc > 0 {
+				tpRatios = append(tpRatios, tp/bdc)
+				fsRatios = append(fsRatios, fs/bdc)
 			}
 		}
 	}
 	return &HeadlineResult{
-		VsCS: fig12.GeoMean,
+		VsCS: fig12.Values[0],
 		VsTP: stats.GeoMean(tpRatios),
 		VsFS: stats.GeoMean(fsRatios),
 	}, nil
+}
+
+// checkValues reports a table that does not carry exactly want > 0
+// unrounded values.
+func checkValues(t *Table, want int) error {
+	if want <= 0 || len(t.Values) != want {
+		return fmt.Errorf("harness: table %q carries %d unrounded values, want %d", t.Title, len(t.Values), want)
+	}
+	return nil
 }
 
 // Table renders the result against the paper's claims.

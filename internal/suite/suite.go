@@ -24,10 +24,30 @@ import (
 
 // Experiment is one emission unit: a named result assembled from one or
 // more campaign jobs (sweeps fan out into a job per point and merge at
-// emission).
+// emission; headline derives from the jobs of fig12 and fig13).
 type Experiment struct {
 	Name string
 	Jobs []campaign.Job
+	// Merge assembles the emitted table from the jobs' tables, in job
+	// order. Nil concatenates their rows (see Table).
+	Merge func([]*harness.Table) (*harness.Table, error)
+}
+
+// Table assembles the experiment's emitted table from its jobs' tables,
+// in job order: Merge's result when set, else the first table's title and
+// columns with every table's rows.
+func (e Experiment) Table(tables []*harness.Table) (*harness.Table, error) {
+	if e.Merge != nil {
+		return e.Merge(tables)
+	}
+	if len(tables) == 1 {
+		return tables[0], nil
+	}
+	merged := &harness.Table{Title: tables[0].Title, Columns: tables[0].Columns}
+	for _, t := range tables {
+		merged.Rows = append(merged.Rows, t.Rows...)
+	}
+	return merged, nil
 }
 
 // Params are the knobs that shape job specs. Every binary in a fleet
@@ -42,13 +62,29 @@ type Params struct {
 }
 
 // Jobs flattens experiments into the campaign job list, preserving
-// canonical order.
+// canonical order. A job that several experiments share (headline reuses
+// fig12's and fig13's) appears once, at its first occurrence.
 func Jobs(exps []Experiment) []campaign.Job {
 	var all []campaign.Job
+	seen := map[string]bool{}
 	for _, e := range exps {
-		all = append(all, e.Jobs...)
+		for _, j := range e.Jobs {
+			if h := j.Hash(); !seen[h] {
+				seen[h] = true
+				all = append(all, j)
+			}
+		}
 	}
 	return all
+}
+
+// Names lists the experiments' names in canonical order.
+func Names(exps []Experiment) []string {
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.Name
+	}
+	return names
 }
 
 // Select resolves a comma-separated -run list against the canonical
@@ -76,12 +112,8 @@ func Select(exps []Experiment, run string) ([]Experiment, error) {
 			unknown = append(unknown, name)
 		}
 		sort.Strings(unknown)
-		valid := make([]string, len(exps))
-		for i, e := range exps {
-			valid[i] = e.Name
-		}
 		return nil, fmt.Errorf("experiments: unknown experiment(s) %s (valid: %s, all)",
-			strings.Join(unknown, ", "), strings.Join(valid, ", "))
+			strings.Join(unknown, ", "), strings.Join(Names(exps), ", "))
 	}
 	return out, nil
 }
@@ -118,6 +150,24 @@ func Build(p Params) []Experiment {
 		return r.Table(), nil
 	}
 
+	fig12 := job("fig12", base, func(ctx context.Context) (*harness.Table, error) {
+		return tab(harness.ReqCSpeedup(ctx, c, seed))
+	})
+	fig13 := func(name, victim string, ga bool) campaign.Job {
+		return job(name, fmt.Sprintf("%s bench=%s ga=%t", base, victim, ga), func(ctx context.Context) (*harness.Table, error) {
+			return tab(harness.BDCComparison(ctx, victim, ga, c, seed))
+		})
+	}
+	fig13a, fig13b := fig13("fig13a", "astar", useGA), fig13("fig13b", "mcf", useGA)
+	// The headline reuses the fig12 and fig13 jobs, so a suite runs each
+	// simulation once. It compares against non-GA BDC: under -ga it takes
+	// non-GA fig13 jobs of its own, named apart because workers resolve
+	// jobs by name.
+	headline13a, headline13b := fig13a, fig13b
+	if useGA {
+		headline13a, headline13b = fig13("headline/fig13a", "astar", false), fig13("headline/fig13b", "mcf", false)
+	}
+
 	exps := []Experiment{
 		single("table1", "static", func(ctx context.Context) (*harness.Table, error) {
 			return harness.SchemeCapabilityTable(), nil
@@ -149,15 +199,9 @@ func Build(p Params) []Experiment {
 		single("fig11", base, func(ctx context.Context) (*harness.Table, error) {
 			return tab(harness.DistributionAccuracy(ctx, c, seed))
 		}),
-		single("fig12", base, func(ctx context.Context) (*harness.Table, error) {
-			return tab(harness.ReqCSpeedup(ctx, c, seed))
-		}),
-		single("fig13a", fmt.Sprintf("%s bench=astar ga=%t", base, useGA), func(ctx context.Context) (*harness.Table, error) {
-			return tab(harness.BDCComparison(ctx, "astar", useGA, c, seed))
-		}),
-		single("fig13b", fmt.Sprintf("%s bench=mcf ga=%t", base, useGA), func(ctx context.Context) (*harness.Table, error) {
-			return tab(harness.BDCComparison(ctx, "mcf", useGA, c, seed))
-		}),
+		{Name: "fig12", Jobs: []campaign.Job{fig12}},
+		{Name: "fig13a", Jobs: []campaign.Job{fig13a}},
+		{Name: "fig13b", Jobs: []campaign.Job{fig13b}},
 		single("fig14", fmt.Sprintf("seed=%d key=0x2AAAAAAA bits=32", seed), func(ctx context.Context) (*harness.Table, error) {
 			return tab(harness.CovertChannel(ctx, 0x2AAAAAAA, 32, seed))
 		}),
@@ -167,9 +211,7 @@ func Build(p Params) []Experiment {
 		single("mi", base+" bench=astar", func(ctx context.Context) (*harness.Table, error) {
 			return tab(harness.MutualInformation(ctx, "astar", c, seed))
 		}),
-		single("headline", base, func(ctx context.Context) (*harness.Table, error) {
-			return tab(harness.HeadlineSpeedups(ctx, c, seed))
-		}),
+		headline(fig12, headline13a, headline13b),
 		scalabilitySweep(c, seed, job),
 		single("epochrate", base+" bench=gcc", func(ctx context.Context) (*harness.Table, error) {
 			return tab(harness.EpochRateComparison(ctx, "gcc", c, seed))
@@ -198,6 +240,25 @@ func Build(p Params) []Experiment {
 		}),
 	}
 	return exps
+}
+
+// headline derives the abstract's numbers at emission from the tables of
+// a fig12 job and the two non-GA fig13 jobs, with no simulation of its
+// own.
+func headline(fig12, fig13a, fig13b campaign.Job) Experiment {
+	jobs := []campaign.Job{fig12, fig13a, fig13b}
+	return Experiment{Name: "headline", Jobs: jobs, Merge: func(tables []*harness.Table) (*harness.Table, error) {
+		for i, t := range tables {
+			if len(t.Values) == 0 {
+				return nil, fmt.Errorf("job %s: table carries no unrounded values (its journal record predates them); run without -resume to recompute it", jobs[i].Name)
+			}
+		}
+		r, err := harness.Headline(tables[0], tables[1], tables[2])
+		if err != nil {
+			return nil, err
+		}
+		return r.Table(), nil
+	}}
 }
 
 // scalabilitySweep fans the §II-B scalability experiment into one job

@@ -3,6 +3,9 @@
 # completion, then resume and require (a) completion, (b) that the resume
 # actually served journal records instead of re-running everything, and
 # (c) that the resumed output is byte-identical to an uninterrupted run.
+# Finally (d) a second resume serves every job from the journal, so the
+# derived headline table is computed from journaled fig12/fig13 tables
+# alone and must still match byte for byte.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -13,10 +16,11 @@ bin="$workdir/experiments"
 go build -o "$bin" ./cmd/experiments
 
 # Cheap experiments only, tiny cycle counts, serialized so the SIGINT
-# lands with jobs still pending.
-RUN="table1,table2,fig4,fig14,fig15,fig11"
+# lands with jobs still pending. headline adds its three jobs (fig12,
+# fig13a, fig13b) and derives its table from theirs.
+RUN="table1,table2,fig4,fig14,fig15,fig11,headline"
 CYCLES=60000
-total=6
+total=9
 journal="$workdir/journal.jsonl"
 
 # Reference: uninterrupted run.
@@ -66,4 +70,18 @@ diff "$workdir/reference.txt" "$workdir/resumed.txt" || {
   echo "campaign-smoke: resumed output differs from the uninterrupted run" >&2
   exit 1
 }
-echo "campaign-smoke: PASS (resume completed $((total - recorded)) remaining jobs, output identical)"
+
+# Replay: every table, the headline's inputs included, read back from the
+# journal.
+"$bin" -run "$RUN" -cycles "$CYCLES" -jobs 1 \
+  -journal "$journal" -resume >"$workdir/replayed.txt" 2>"$workdir/replayed.err"
+grep -q "resumed $total" "$workdir/replayed.err" || {
+  echo "campaign-smoke: replay did not serve all $total jobs from the journal:" >&2
+  cat "$workdir/replayed.err" >&2
+  exit 1
+}
+diff "$workdir/reference.txt" "$workdir/replayed.txt" || {
+  echo "campaign-smoke: output replayed from the journal differs from the uninterrupted run" >&2
+  exit 1
+}
+echo "campaign-smoke: PASS (resume completed $((total - recorded)) remaining jobs, output identical; full journal replay identical)"
