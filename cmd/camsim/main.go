@@ -92,7 +92,6 @@ func main() {
 	sloSpec := flag.String("slo", "", "security SLO rules evaluated on the supervision grid, e.g. 'drift_l1>0.15:3' (comma-separated metric>max[:sustain])")
 	alertsOut := flag.String("alerts", "", "with -slo: write alert transitions as JSONL to this file (same-seed runs are byte-identical)")
 	historyOut := flag.String("history-out", "", "write the metric time-series history as JSON to this file at run end")
-	captureDir := flag.String("capture-dir", "", "write bounded pprof heap/CPU captures into this directory when an SLO alert raises")
 	ckptDir := flag.String("checkpoint-dir", "", "write periodic crash-safe checkpoints into this directory (keeps the newest 2)")
 	ckptEvery := flag.Uint64("checkpoint-every", 100_000, "simulated cycles between automatic checkpoints (with -checkpoint-dir)")
 	resumeFrom := flag.String("resume-from", "", "resume from this checkpoint file, or the newest valid checkpoint in this directory; -cycles is the total, so the run covers only the remainder")
@@ -135,9 +134,9 @@ func main() {
 
 	// Observability: registry + optional tracer on the measured system
 	// (probe/measurement pre-runs stay uninstrumented), plus the fleet
-	// telemetry plane — time-series history, SLO alerts and bounded pprof
-	// capture. All handles are nil-safe; camsim exits through os.Exit, so
-	// teardown is explicit. Under -isolation=process the re-exec'd child
+	// telemetry plane — time-series history and SLO alerts. All handles
+	// are nil-safe; camsim exits through os.Exit, so teardown is
+	// explicit. Under -isolation=process the re-exec'd child
 	// carries these same flags, so alert logs and history dumps come from
 	// the measuring process either way and same-seed runs stay
 	// byte-identical across isolation modes.
@@ -146,7 +145,6 @@ func main() {
 		srv        *obs.Server
 		monitor    *obs.SLOMonitor
 		alertsFile *os.File
-		profiles   *obs.ProfileCapture
 		err        error
 	)
 	if *obsAddr != "" || *traceOut != "" || *sloSpec != "" || *historyOut != "" {
@@ -176,10 +174,6 @@ func main() {
 				sink = alertsFile
 			}
 			monitor = obs.NewSLOMonitor(rules, reg, sink)
-		}
-		if *captureDir != "" {
-			profiles = &obs.ProfileCapture{Dir: *captureDir}
-			monitor.OnAlert(func(a obs.Alert) { profiles.Capture("alert-" + a.Rule) })
 		}
 		opts.obs = &obs.Bundle{Registry: reg, Tracer: tracer, History: hist, Alerts: monitor}
 		if *obsAddr != "" {
@@ -213,7 +207,6 @@ func main() {
 			err = derr
 		}
 	}
-	profiles.Wait()
 	if alertsFile != nil {
 		if serr := monitor.SinkErr(); serr != nil && err == nil {
 			err = fmt.Errorf("alert log: %w", serr)

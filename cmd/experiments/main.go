@@ -73,14 +73,11 @@ func main() {
 	sloSpec := flag.String("slo", "", "security SLO rules, e.g. 'drift_l1>0.15:3' (comma-separated metric>max[:sustain]); process-isolated workers evaluate them on their own grids and forward alerts")
 	alertsOut := flag.String("alerts", "", "with -slo: write alert transitions as JSONL to this file")
 	historyOut := flag.String("history-out", "", "write the campaign's metric time-series history as JSON to this file at exit")
-	captureDir := flag.String("capture-dir", "", "write bounded pprof heap/CPU captures into this directory on SLO alerts and worker stall kills")
 	progressEvery := flag.Duration("progress", 0, "print a one-line campaign progress report to stderr at this interval (0 = off)")
 	isolation := flag.String("isolation", "inproc", "job execution mode: inproc (jobs run in this process) or process (each attempt runs in a re-exec'd worker supervised for liveness)")
 	memLimit := flag.String("mem-limit", "", "with -isolation=process: kill and retry a worker whose RSS exceeds this (e.g. 2GiB; empty = no ceiling)")
 	stallTimeout := flag.Duration("stall-timeout", campaign.DefaultStallTimeout, "with -isolation=process: escalate a worker with no heartbeat for this long (SIGTERM, then SIGKILL)")
 	ckptRoot := flag.String("checkpoint-dir", "", "per-job crash-safe checkpoints under this directory; a retried or restarted job resumes mid-simulation")
-	hedge := flag.Float64("hedge", 0, "with -isolation=process: duplicate a job still running past this multiple of the completed-job p95; first finisher wins (0 = off)")
-	hedgeVerify := flag.Bool("hedge-verify", false, "let hedged duplicates finish and byte-compare their tables (a determinism cross-check; implies slower stragglers)")
 	listen := flag.String("listen", "", "supervise a distributed worker fleet: accept camworker connections on this address (e.g. :9090) and dispatch jobs over TCP; no reachable workers degrades to local execution")
 	fleetToken := flag.String("fleet-token", "", "with -listen: shared secret workers must present at handshake")
 	leaseTTL := flag.Duration("lease", dispatch.DefaultLeaseTTL, "with -listen: job lease duration; a worker silent past this is fenced off and its job re-dispatched")
@@ -99,15 +96,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *listen != "" {
-		if campaign.Isolation(*isolation) == campaign.IsolationProcess {
-			fmt.Fprintln(os.Stderr, "experiments: -listen and -isolation=process are mutually exclusive (remote workers already isolate)")
-			os.Exit(2)
-		}
-		if *hedge > 0 {
-			fmt.Fprintln(os.Stderr, "experiments: -listen and -hedge are mutually exclusive (lease re-dispatch covers stragglers)")
-			os.Exit(2)
-		}
+	if *listen != "" && campaign.Isolation(*isolation) == campaign.IsolationProcess {
+		fmt.Fprintln(os.Stderr, "experiments: -listen and -isolation=process are mutually exclusive (remote workers already isolate)")
+		os.Exit(2)
 	}
 
 	memBytes, err := campaign.ParseBytes(*memLimit)
@@ -153,18 +144,17 @@ func main() {
 
 	// Observability: one shared metrics registry and (optionally) a
 	// lifecycle tracer, carried to every experiment through the context —
-	// plus the fleet telemetry plane: a time-series history, an SLO
-	// monitor and bounded pprof capture. In-process jobs feed all three
-	// directly on their supervision grids; process-isolated workers run
-	// their own monitors and the supervisor merges their metric deltas
-	// and alerts under worker.<jobhash>. prefixes. Everything below is
-	// nil-safe, so the zero-flag path pays nothing.
+	// plus the fleet telemetry plane: a time-series history and an SLO
+	// monitor. In-process jobs feed them directly on their supervision
+	// grids; process-isolated workers run their own monitors and the
+	// supervisor merges their metric deltas and alerts under
+	// worker.<jobhash>. prefixes. Everything below is nil-safe, so the
+	// zero-flag path pays nothing.
 	var (
 		reg        *obs.Registry
 		hist       *obs.History
 		monitor    *obs.SLOMonitor
 		alertsFile *os.File
-		profiles   *obs.ProfileCapture
 		tracer     *obs.Tracer
 		progress   *campaign.Progress
 	)
@@ -190,10 +180,6 @@ func main() {
 			sink = alertsFile
 		}
 		monitor = obs.NewSLOMonitor(rules, reg, sink)
-	}
-	if *captureDir != "" {
-		profiles = &obs.ProfileCapture{Dir: *captureDir}
-		monitor.OnAlert(func(a obs.Alert) { profiles.Capture("alert-" + a.Rule) })
 	}
 	if *traceOut != "" {
 		if tracer, err = obs.NewTracer(*traceOut, *traceSample, *seed); err != nil {
@@ -232,7 +218,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "obs:", herr)
 			}
 		}
-		profiles.Wait()
 		if alertsFile != nil {
 			if serr := monitor.SinkErr(); serr != nil {
 				fmt.Fprintln(os.Stderr, "obs: alert log:", serr)
@@ -259,13 +244,10 @@ func main() {
 		MemLimit:      memBytes,
 		StallTimeout:  *stallTimeout,
 		CheckpointDir: *ckptRoot,
-		HedgeMultiple: *hedge,
-		HedgeVerify:   *hedgeVerify,
 		Registry:      reg,
 		History:       hist,
 		Alerts:        monitor,
 		SLO:           *sloSpec,
-		Profiles:      profiles,
 		Log:           logf,
 	}
 	var sup *dispatch.Supervisor

@@ -423,7 +423,6 @@ func checkAlertLog(src string) bool {
 // worker.* instrument:
 //
 //	worker.<jobhash>.<metric>           local process-isolated attempt
-//	worker.<jobhash>.hedge.<metric>     its hedged duplicate
 //	worker.<label>.<jobhash>.<metric>   remote fleet member <label>
 //
 // where <jobhash> is the 16-hex spec hash and <label> is a sanitized

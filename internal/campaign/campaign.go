@@ -106,19 +106,10 @@ type Options struct {
 	// StallGrace is the SIGTERM → SIGKILL escalation window (0 selects
 	// DefaultStallGrace).
 	StallGrace time.Duration
-	// HedgeMultiple, when >0, launches a duplicate worker for any job
-	// still running past HedgeMultiple × the completed-attempt p95; the
-	// first finisher wins. Requires IsolationProcess.
-	HedgeMultiple float64
-	// HedgeVerify lets a hedge's straggler run to completion and
-	// byte-compares both tables, turning determinism into a differential
-	// oracle; a mismatch fails the job fatally.
-	HedgeVerify bool
 
 	// Registry, when non-nil under IsolationProcess, receives every
-	// worker's metric deltas merged under a `worker.<jobhash>.` prefix
-	// (hedged siblings under `worker.<jobhash>.hedge.`), so the
-	// supervisor's /metrics shows the whole fleet.
+	// worker's metric deltas merged under a `worker.<jobhash>.` prefix,
+	// so the supervisor's /metrics shows the whole fleet.
 	Registry *obs.Registry
 	// History, when non-nil, additionally records merged worker gauges
 	// and counters as (cycle, value) series at each heartbeat frame's
@@ -126,21 +117,17 @@ type Options struct {
 	History *obs.History
 	// Alerts, when non-nil, ingests worker-raised SLO alerts (metric
 	// names rewritten under the worker prefix) into the supervisor's
-	// monitor: counters, the /alerts ring, the alert log, auto-capture.
+	// monitor: counters, the /alerts ring, the alert log.
 	Alerts *obs.SLOMonitor
 	// SLO is the declarative rule spec forwarded to workers (see
 	// obs.ParseSLOSpec); empty disables worker-side evaluation.
 	SLO string
-	// Profiles, when non-nil, captures bounded pprof snapshots on
-	// supervisor-observed incidents (worker stall kills).
-	Profiles *obs.ProfileCapture
 
 	// Dispatcher, when non-nil, overrides the isolation-selected executor
 	// with an external one — typically a distributed dispatch supervisor
 	// (internal/dispatch) driving remote TCP workers, which itself falls
 	// back to a local Executor built via NewLocalExecutor when the fleet
-	// is empty. Hedging is the dispatcher's concern, so HedgeMultiple
-	// must be 0 when Dispatcher is set.
+	// is empty.
 	Dispatcher Executor
 }
 
@@ -240,7 +227,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) (*Summary, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	exec, err := newExecutor(opt, logf)
+	exec, err := newExecutor(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -391,10 +378,9 @@ feed:
 
 // Executor runs one job attempt; the in-process executor calls the job
 // function directly, the process executor re-execs a supervised worker,
-// the hedged executor wraps either with straggler duplication, and a
-// distributed dispatcher (Options.Dispatcher) leases attempts to remote
-// workers. Execute must honor ctx cancellation and return an error whose
-// Classify class drives the retry loop.
+// and a distributed dispatcher (Options.Dispatcher) leases attempts to
+// remote workers. Execute must honor ctx cancellation and return an
+// error whose Classify class drives the retry loop.
 type Executor interface {
 	Execute(ctx context.Context, job Job, attempt int) (*harness.Table, error)
 }
@@ -409,28 +395,18 @@ func (inprocExecutor) Execute(ctx context.Context, job Job, attempt int) (*harne
 
 // newExecutor validates the isolation options and builds the attempt
 // executor.
-func newExecutor(opt Options, logf func(string, ...any)) (Executor, error) {
+func newExecutor(opt Options) (Executor, error) {
 	if opt.Dispatcher != nil {
-		if opt.HedgeMultiple > 0 {
-			return nil, fmt.Errorf("campaign: hedging is incompatible with Dispatcher (the dispatcher owns redundancy)")
-		}
 		return opt.Dispatcher, nil
 	}
 	switch opt.Isolation {
 	case "", IsolationInProc:
-		if opt.HedgeMultiple > 0 {
-			return nil, fmt.Errorf("campaign: hedged execution requires Isolation=%q", IsolationProcess)
-		}
 		return inprocExecutor{}, nil
 	case IsolationProcess:
 		if len(opt.WorkerCommand) == 0 {
 			return nil, fmt.Errorf("campaign: Isolation=%q requires WorkerCommand", IsolationProcess)
 		}
-		var ex Executor = newProcExecutor(opt, logf)
-		if opt.HedgeMultiple > 0 {
-			ex = newHedgedExecutor(ex, opt, logf)
-		}
-		return ex, nil
+		return newProcExecutor(opt), nil
 	default:
 		return nil, fmt.Errorf("campaign: unknown isolation mode %q", opt.Isolation)
 	}
@@ -438,24 +414,13 @@ func newExecutor(opt Options, logf func(string, ...any)) (Executor, error) {
 
 // NewLocalExecutor builds the local (non-dispatched) executor the given
 // options describe: in-process for ""/IsolationInProc, a supervised
-// worker process for IsolationProcess, hedged when HedgeMultiple > 0. A
-// distributed dispatcher uses this as its degraded-mode fallback when no
-// remote workers are reachable. opt.Dispatcher is ignored.
-func NewLocalExecutor(opt Options, logf func(string, ...any)) (Executor, error) {
+// worker process for IsolationProcess. A distributed dispatcher uses
+// this as its degraded-mode fallback when no remote workers are
+// reachable. opt.Dispatcher is ignored. No local executor logs, so the
+// log function is unused.
+func NewLocalExecutor(opt Options, _ func(string, ...any)) (Executor, error) {
 	opt.Dispatcher = nil
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	return newExecutor(opt, logf)
-}
-
-// RunAttempt executes one job attempt in-process: the job function runs
-// under the given context (checkpoint directory and heartbeat sink are
-// threaded through it by the caller) with panic containment. Exported
-// for remote workers (internal/dispatch), which drive attempts directly
-// rather than through the campaign pool.
-func RunAttempt(ctx context.Context, job Job, attempt int) (*harness.Table, error) {
-	return runAttempt(ctx, job, attempt)
+	return newExecutor(opt)
 }
 
 // runJob drives one job through its attempt/backoff loop and fills res.

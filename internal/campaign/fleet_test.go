@@ -97,9 +97,8 @@ func TestProgressLineIncludesWorkerCounters(t *testing.T) {
 	wm.restarts.Inc()
 	wm.restarts.Inc()
 	wm.stallsKilled.Inc()
-	wm.hedgesWon.Inc()
 	line := p.Line()
-	for _, want := range []string{"2 restarts", "1 stalls_killed", "1 hedges_won"} {
+	for _, want := range []string{"2 restarts", "1 stalls_killed"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("line %q missing %q", line, want)
 		}

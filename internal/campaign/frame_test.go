@@ -14,8 +14,8 @@ import (
 func encodeFrame(t *testing.T, f HeartbeatFrame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, f); err != nil {
-		t.Fatalf("writeFrame: %v", err)
+	if err := WriteFrameJSON(&buf, f); err != nil {
+		t.Fatalf("WriteFrameJSON: %v", err)
 	}
 	return buf.Bytes()
 }

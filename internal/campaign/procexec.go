@@ -17,20 +17,6 @@ import (
 	"camouflage/internal/sim"
 )
 
-// hedgeKey marks a context as belonging to a hedge duplicate, so the
-// process executor merges its metrics under a segregated prefix instead
-// of fighting the primary for `worker.<hash>.`.
-type hedgeKey struct{}
-
-func markHedge(ctx context.Context) context.Context {
-	return context.WithValue(ctx, hedgeKey{}, true)
-}
-
-func isHedge(ctx context.Context) bool {
-	b, _ := ctx.Value(hedgeKey{}).(bool)
-	return b
-}
-
 // Supervision defaults for process-isolated workers.
 const (
 	// DefaultHeartbeatEvery throttles worker grid heartbeats.
@@ -261,16 +247,15 @@ loop:
 
 // procExecutor runs each attempt in a supervised worker process.
 type procExecutor struct {
-	opt  Options
-	logf func(string, ...any)
-	wm   workerMetrics
+	opt Options
+	wm  workerMetrics
 
 	mu   sync.Mutex
 	peak int64
 }
 
-func newProcExecutor(opt Options, logf func(string, ...any)) *procExecutor {
-	return &procExecutor{opt: opt, logf: logf, wm: opt.Progress.workerMetrics()}
+func newProcExecutor(opt Options) *procExecutor {
+	return &procExecutor{opt: opt, wm: opt.Progress.workerMetrics()}
 }
 
 // notePeak tracks the campaign-wide peak worker RSS gauge.
@@ -308,16 +293,12 @@ func (e *procExecutor) Execute(ctx context.Context, job Job, attempt int) (*harn
 		return nil, Fatal(fmt.Errorf("campaign: marshaling worker request for %s: %w", job.Name, err))
 	}
 	// One merger per attempt: the worker prefix interns instrument
-	// handles, hedged siblings land under a segregated `.hedge.` prefix,
-	// and construction zeroes the prefix so a restarted attempt's
-	// fresh-process deltas do not double-count its predecessor's.
+	// handles, and construction zeroes the prefix so a restarted
+	// attempt's fresh-process deltas do not double-count its
+	// predecessor's.
 	var merger *obs.Merger
 	if wantMetrics {
-		prefix := "worker." + job.Hash() + "."
-		if isHedge(ctx) {
-			prefix = "worker." + job.Hash() + ".hedge."
-		}
-		merger = obs.NewMerger(e.opt.Registry, prefix)
+		merger = obs.NewMerger(e.opt.Registry, "worker."+job.Hash()+".")
 		merger.SetHistory(e.opt.History)
 	}
 	var stdout bytes.Buffer
@@ -356,10 +337,6 @@ func (e *procExecutor) Execute(ctx context.Context, job Job, attempt int) (*harn
 	if pr.StallKilled {
 		e.wm.stallsKilled.Inc()
 		e.wm.restarts.Inc()
-		// A stalled worker is exactly when a profile is worth its cost:
-		// capture the supervisor's own state (bounded; no-op when the
-		// budget is spent or capture is unconfigured).
-		e.opt.Profiles.Capture("stall-" + job.Hash())
 		return nil, Transient(fmt.Errorf("campaign: worker for %s stalled (no heartbeat in %v, last cycle %d)",
 			job.Name, stallTimeout, pr.LastCycle))
 	}

@@ -64,12 +64,6 @@ type workerMetrics struct {
 	// stallsKilled / oomKilled count supervisor-initiated escalations.
 	stallsKilled *obs.Counter
 	oomKilled    *obs.Counter
-	// hedgesLaunched / hedgesWon / hedgeMismatches track straggler
-	// hedging: duplicates launched, races the duplicate won, and
-	// verification failures (two deterministic runs disagreed).
-	hedgesLaunched  *obs.Counter
-	hedgesWon       *obs.Counter
-	hedgeMismatches *obs.Counter
 	// heartbeats counts frames received across all workers.
 	heartbeats *obs.Counter
 	// peakRSS is the largest worker RSS observed, in bytes.
@@ -98,14 +92,11 @@ func NewProgress(reg *obs.Registry) *Progress {
 		retries: reg.Counter("campaign.retries"),
 		backoff: reg.Counter("campaign.backoff_ms"),
 		wm: workerMetrics{
-			restarts:        reg.Counter("campaign.worker.restarts"),
-			stallsKilled:    reg.Counter("campaign.worker.stalls_killed"),
-			oomKilled:       reg.Counter("campaign.worker.oom_killed"),
-			hedgesLaunched:  reg.Counter("campaign.worker.hedges_launched"),
-			hedgesWon:       reg.Counter("campaign.worker.hedges_won"),
-			hedgeMismatches: reg.Counter("campaign.worker.hedge_mismatches"),
-			heartbeats:      reg.Counter("campaign.worker.heartbeats"),
-			peakRSS:         reg.Gauge("campaign.worker.peak_rss_bytes"),
+			restarts:     reg.Counter("campaign.worker.restarts"),
+			stallsKilled: reg.Counter("campaign.worker.stalls_killed"),
+			oomKilled:    reg.Counter("campaign.worker.oom_killed"),
+			heartbeats:   reg.Counter("campaign.worker.heartbeats"),
+			peakRSS:      reg.Gauge("campaign.worker.peak_rss_bytes"),
 		},
 	}
 	for _, st := range []JobState{StateQueued, StateRunning, StateBackoff,
@@ -198,14 +189,11 @@ func (p *Progress) Snapshot() []JobView {
 // WorkerStats is the fleet-health summary (the campaign.worker.*
 // instruments) rendered into /jobs snapshots and the progress line.
 type WorkerStats struct {
-	Restarts        uint64 `json:"restarts"`
-	StallsKilled    uint64 `json:"stalls_killed"`
-	OOMKilled       uint64 `json:"oom_killed"`
-	HedgesLaunched  uint64 `json:"hedges_launched"`
-	HedgesWon       uint64 `json:"hedges_won"`
-	HedgeMismatches uint64 `json:"hedge_mismatches"`
-	Heartbeats      uint64 `json:"heartbeats"`
-	PeakRSSBytes    int64  `json:"peak_rss_bytes"`
+	Restarts     uint64 `json:"restarts"`
+	StallsKilled uint64 `json:"stalls_killed"`
+	OOMKilled    uint64 `json:"oom_killed"`
+	Heartbeats   uint64 `json:"heartbeats"`
+	PeakRSSBytes int64  `json:"peak_rss_bytes"`
 }
 
 // WorkerStats reads the current worker-instrument values (zeros on a
@@ -215,14 +203,11 @@ func (p *Progress) WorkerStats() WorkerStats {
 		return WorkerStats{}
 	}
 	return WorkerStats{
-		Restarts:        p.wm.restarts.Value(),
-		StallsKilled:    p.wm.stallsKilled.Value(),
-		OOMKilled:       p.wm.oomKilled.Value(),
-		HedgesLaunched:  p.wm.hedgesLaunched.Value(),
-		HedgesWon:       p.wm.hedgesWon.Value(),
-		HedgeMismatches: p.wm.hedgeMismatches.Value(),
-		Heartbeats:      p.wm.heartbeats.Value(),
-		PeakRSSBytes:    int64(p.wm.peakRSS.Value()),
+		Restarts:     p.wm.restarts.Value(),
+		StallsKilled: p.wm.stallsKilled.Value(),
+		OOMKilled:    p.wm.oomKilled.Value(),
+		Heartbeats:   p.wm.heartbeats.Value(),
+		PeakRSSBytes: int64(p.wm.peakRSS.Value()),
 	}
 }
 
@@ -275,7 +260,6 @@ func (p *Progress) Line() string {
 		{ws.Restarts, "restarts"},
 		{ws.StallsKilled, "stalls_killed"},
 		{ws.OOMKilled, "oom_killed"},
-		{ws.HedgesWon, "hedges_won"},
 	} {
 		if c.n > 0 {
 			line += fmt.Sprintf(", %d %s", c.n, c.label)

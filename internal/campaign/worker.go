@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -122,9 +123,6 @@ const (
 // reuses this bound — and the codec below — over TCP.
 const MaxFrameLen = 1 << 22
 
-// maxFrameLen is kept as the historical internal name.
-const maxFrameLen = MaxFrameLen
-
 // Frame-decode error taxonomy. A reader must distinguish three shapes of
 // trouble, because each demands a different response:
 //
@@ -151,8 +149,8 @@ func WriteFrameJSON(w io.Writer, v any) error {
 	if err != nil {
 		return err
 	}
-	if len(payload) > maxFrameLen {
-		return fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, len(payload), maxFrameLen)
+	if len(payload) > MaxFrameLen {
+		return fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, len(payload), MaxFrameLen)
 	}
 	buf := make([]byte, 4+len(payload))
 	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
@@ -177,8 +175,8 @@ func ReadFrameJSON(r io.Reader, v any) error {
 		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrameLen {
-		return fmt.Errorf("%w: length %d, want 1..%d", ErrFrameTooLarge, n, maxFrameLen)
+	if n == 0 || n > MaxFrameLen {
+		return fmt.Errorf("%w: length %d, want 1..%d", ErrFrameTooLarge, n, MaxFrameLen)
 	}
 	payload := make([]byte, n)
 	if got, err := io.ReadFull(r, payload); err != nil {
@@ -191,11 +189,6 @@ func ReadFrameJSON(r io.Reader, v any) error {
 		return fmt.Errorf("campaign: bad frame payload: %w", err)
 	}
 	return nil
-}
-
-// writeFrame writes one heartbeat frame.
-func writeFrame(w io.Writer, f HeartbeatFrame) error {
-	return WriteFrameJSON(w, f)
 }
 
 // readFrame reads one length-prefixed heartbeat frame.
@@ -296,11 +289,6 @@ func (w *HeartbeatWriter) writeLocked(f HeartbeatFrame) {
 	}
 }
 
-// ReadRSS returns the process's resident set size in bytes — exported
-// for remote workers (internal/dispatch), whose heartbeats carry the
-// same liveness fields as local fd-3 frames.
-func ReadRSS() int64 { return readRSS() }
-
 // readRSS returns the process's resident set size in bytes, from
 // /proc/self/statm where available and the Go runtime's own accounting
 // otherwise.
@@ -385,51 +373,22 @@ func ServeWorker(jobs []Job) int {
 		respond(workerResponse{Error: fmt.Sprintf("bad worker request: %v", err), Class: ClassFatal.String()})
 		return WorkerExitProtocol
 	}
-	var job *Job
-	for i := range jobs {
-		if jobs[i].Name == req.Name {
-			job = &jobs[i]
-			break
-		}
-	}
-	if job == nil {
-		respond(workerResponse{Error: fmt.Sprintf("unknown job %q (worker job list diverges from supervisor)", req.Name), Class: ClassFatal.String()})
-		return WorkerExitProtocol
-	}
-	if h := job.Hash(); h != req.Hash {
-		respond(workerResponse{Error: fmt.Sprintf("spec hash mismatch for %q: worker built %s, supervisor sent %s (job lists diverge)", req.Name, h, req.Hash), Class: ClassFatal.String()})
-		return WorkerExitProtocol
-	}
-
 	pipe := os.NewFile(3, "campaign-heartbeat")
-	hw := NewHeartbeatWriter(func(f HeartbeatFrame) error { return writeFrame(pipe, f) }, time.Duration(req.HeartbeatEveryMS)*time.Millisecond)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
-	if req.CheckpointDir != "" {
-		ctx = WithCheckpointDir(ctx, req.CheckpointDir)
+	table, _, err := ServeAttempt(ctx, jobs, Assignment{
+		Name:           req.Name,
+		Hash:           req.Hash,
+		Attempt:        req.Attempt,
+		CheckpointDir:  req.CheckpointDir,
+		HeartbeatEvery: time.Duration(req.HeartbeatEveryMS) * time.Millisecond,
+		WantMetrics:    req.WantMetrics,
+		SLO:            req.SLO,
+	}, func(f HeartbeatFrame) error { return WriteFrameJSON(pipe, f) })
+	if errors.Is(err, ErrUnknownJob) || errors.Is(err, ErrSpecMismatch) {
+		respond(workerResponse{Error: err.Error(), Class: ClassFatal.String()})
+		return WorkerExitProtocol
 	}
-	ctx = core.WithHeartbeatFunc(ctx, hw.Beat)
-	if req.WantMetrics {
-		// Fleet telemetry: the attempt instruments itself into a local
-		// registry; deltas (and SLO alerts, when rules were sent) ride
-		// the heartbeat frames back to the supervisor.
-		reg := obs.NewRegistry()
-		var monitor *obs.SLOMonitor
-		if req.SLO != "" {
-			if rules, err := obs.ParseSLOSpec(req.SLO); err == nil {
-				monitor = obs.NewSLOMonitor(rules, reg, nil)
-			} else {
-				fmt.Fprintf(os.Stderr, "campaign worker: ignoring SLO spec: %v\n", err)
-			}
-		}
-		ctx = obs.NewContext(ctx, &obs.Bundle{Registry: reg, Alerts: monitor})
-		hw.SetTelemetry(obs.NewDeltaTracker(reg), monitor)
-	}
-
-	hw.Emit(FrameStart)
-	table, err := runAttempt(ctx, *job, req.Attempt)
-	hw.Emit(FrameDone)
-
 	if err == nil {
 		respond(workerResponse{Table: table})
 		return 0
@@ -444,4 +403,78 @@ func ServeWorker(jobs []Job) int {
 	default:
 		return WorkerExitTransient
 	}
+}
+
+// Assignment is one job attempt as a worker receives it from its
+// supervisor, over either transport: the stdin request of a
+// process-isolated worker or the assign message of a dispatch worker.
+type Assignment struct {
+	Name    string
+	Hash    string
+	Attempt int
+	// CheckpointDir, when non-empty, is threaded into the attempt's
+	// context (see CheckpointDir).
+	CheckpointDir string
+	// HeartbeatEvery throttles grid frames (<=0 selects
+	// DefaultHeartbeatEvery).
+	HeartbeatEvery time.Duration
+	// WantMetrics instruments the attempt with a local registry whose
+	// deltas ride the frames, together with SLO alerts when SLO is set.
+	WantMetrics bool
+	SLO         string
+}
+
+// Assignment errors: the worker's job list diverges from the
+// supervisor's, so the request cannot be served at all. ServeAttempt
+// returns them Fatal-classified, since a retry would resend the same
+// request.
+var (
+	ErrUnknownJob   = errors.New("unknown job")
+	ErrSpecMismatch = errors.New("spec hash mismatch")
+)
+
+// ServeAttempt is the worker side of one attempt, shared by both
+// transports. It resolves the job by name and verifies its spec hash,
+// threads the checkpoint directory and a HeartbeatWriter over sink into
+// the context, attaches a local registry and SLO monitor when metrics
+// are wanted, and runs the attempt with panic containment between a
+// start and a done frame. An assignment that cannot be served returns
+// an error matching ErrUnknownJob or ErrSpecMismatch and emits no frame.
+// lastCycle is the newest grid cycle the attempt reached.
+func ServeAttempt(ctx context.Context, jobs []Job, a Assignment, sink func(HeartbeatFrame) error) (table *harness.Table, lastCycle uint64, err error) {
+	i := slices.IndexFunc(jobs, func(j Job) bool { return j.Name == a.Name })
+	if i < 0 {
+		return nil, 0, Fatal(fmt.Errorf("%w %q (worker job list diverges from supervisor)", ErrUnknownJob, a.Name))
+	}
+	job := jobs[i]
+	if h := job.Hash(); h != a.Hash {
+		return nil, 0, Fatal(fmt.Errorf("%w for %q: worker built %s, supervisor sent %s (job lists diverge)", ErrSpecMismatch, a.Name, h, a.Hash))
+	}
+
+	hw := NewHeartbeatWriter(sink, a.HeartbeatEvery)
+	if a.CheckpointDir != "" {
+		ctx = WithCheckpointDir(ctx, a.CheckpointDir)
+	}
+	ctx = core.WithHeartbeatFunc(ctx, hw.Beat)
+	if a.WantMetrics {
+		// Fleet telemetry: the attempt instruments itself into a local
+		// registry; deltas (and SLO alerts, when rules were sent) ride
+		// the heartbeat frames back to the supervisor.
+		reg := obs.NewRegistry()
+		var monitor *obs.SLOMonitor
+		if a.SLO != "" {
+			if rules, err := obs.ParseSLOSpec(a.SLO); err == nil {
+				monitor = obs.NewSLOMonitor(rules, reg, nil)
+			} else {
+				fmt.Fprintf(os.Stderr, "campaign worker: ignoring SLO spec: %v\n", err)
+			}
+		}
+		ctx = obs.NewContext(ctx, &obs.Bundle{Registry: reg, Alerts: monitor})
+		hw.SetTelemetry(obs.NewDeltaTracker(reg), monitor)
+	}
+
+	hw.Emit(FrameStart)
+	table, err = runAttempt(ctx, job, a.Attempt)
+	hw.Emit(FrameDone) // flushes the final metrics delta
+	return table, hw.LastCycle(), err
 }

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -233,39 +235,13 @@ func oomJob() Job {
 	}
 }
 
-// hedgeStragglerJob is slow exactly once: the first worker to run it
-// leaves a latch file and dawdles; the hedge duplicate sees the latch
-// and finishes immediately, winning the race with an identical table.
-func hedgeStragglerJob() Job {
-	const total = core.SuperviseStride
-	return Job{
-		Name: "w-straggler",
-		Spec: fmt.Sprintf("cycles=%d", total),
-		Run: func(ctx context.Context, attempt int) (*harness.Table, error) {
-			if dir := os.Getenv("CAMPAIGN_TEST_LATCH"); InWorker() && dir != "" {
-				latch := dir + "/straggler-latch"
-				if _, err := os.Stat(latch); os.IsNotExist(err) {
-					os.WriteFile(latch, []byte("1"), 0o644)
-					select {
-					case <-ctx.Done():
-						return nil, ctx.Err()
-					case <-time.After(20 * time.Second):
-						return nil, Transient(errors.New("straggler never hedged"))
-					}
-				}
-			}
-			return runWorkerSim(ctx, "w-straggler", total)
-		},
-	}
-}
-
 // testWorkerJobs is the job list both the supervising tests and the
 // re-exec'd worker processes build — names and specs must match or the
 // worker rejects the request.
 func testWorkerJobs() []Job {
 	return []Job{
 		okJob("w-ok-a"), okJob("w-ok-b"), okJob("w-ok-c"),
-		crashJob(), stallJob(), oomJob(), hedgeStragglerJob(),
+		crashJob(), stallJob(), oomJob(),
 	}
 }
 
@@ -282,6 +258,94 @@ func procOpts(t *testing.T) Options {
 	opt.StallTimeout = 2 * time.Second
 	opt.StallGrace = 300 * time.Millisecond
 	return opt
+}
+
+// tablesEqual byte-compares two result tables via their canonical JSON
+// form.
+func tablesEqual(a, b *harness.Table) bool {
+	ab, aerr := json.Marshal(a)
+	bb, berr := json.Marshal(b)
+	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
+}
+
+// TestServeAttemptAssignmentTable: the shared worker-side runner serves
+// a matching assignment between start and done frames, and refuses an
+// unknown name or a diverging spec hash as a fatal, distinguishable
+// protocol error without running anything or emitting a frame.
+func TestServeAttemptAssignmentTable(t *testing.T) {
+	jobs := testWorkerJobs()
+	// Outside a worker process w-crash runs clean for four strides, so
+	// the attempt crosses several grid points.
+	job := crashJob()
+	cases := []struct {
+		name    string
+		a       Assignment
+		wantErr error
+	}{
+		{"match", Assignment{Name: job.Name, Hash: job.Hash(), Attempt: 1, WantMetrics: true}, nil},
+		{"unknown job", Assignment{Name: "w-missing", Hash: job.Hash(), Attempt: 1}, ErrUnknownJob},
+		{"hash mismatch", Assignment{Name: job.Name, Hash: "0000000000000000", Attempt: 1}, ErrSpecMismatch},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var frames []HeartbeatFrame
+			c.a.CheckpointDir = t.TempDir()
+			c.a.HeartbeatEvery = time.Millisecond
+			table, lastCycle, err := ServeAttempt(context.Background(), jobs, c.a, func(f HeartbeatFrame) error {
+				frames = append(frames, f)
+				return nil
+			})
+			if c.wantErr != nil {
+				if !errors.Is(err, c.wantErr) || Classify(err) != ClassFatal {
+					t.Fatalf("err = %v (class %v), want fatal %v", err, Classify(err), c.wantErr)
+				}
+				if table != nil || lastCycle != 0 || len(frames) != 0 {
+					t.Fatalf("refused assignment ran: table %v, last cycle %d, %d frames", table, lastCycle, len(frames))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, rerr := runWorkerSim(context.Background(), job.Name, 4*core.SuperviseStride)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if !tablesEqual(table, ref) {
+				t.Errorf("served table differs from reference:\n%v\nvs\n%v", table, ref)
+			}
+			// Grid points fire at the start of each stride.
+			if want := uint64(3 * core.SuperviseStride); lastCycle != want {
+				t.Errorf("last cycle %d, want %d", lastCycle, want)
+			}
+			if len(frames) < 2 || frames[0].Kind != FrameStart || frames[len(frames)-1].Kind != FrameDone {
+				t.Fatalf("frames %+v, want start ... done", frames)
+			}
+			if done := frames[len(frames)-1]; done.Cycle != lastCycle || done.Metrics.Empty() {
+				t.Errorf("done frame at cycle %d with metrics %v, want cycle %d and a metrics delta", done.Cycle, done.Metrics, lastCycle)
+			}
+		})
+	}
+}
+
+// TestProcessIsolationUnknownJobFatal: a supervisor whose job list holds
+// a job the worker's list lacks gets the worker's protocol refusal, and
+// the job fails fatally on its first attempt instead of burning retries.
+func TestProcessIsolationUnknownJobFatal(t *testing.T) {
+	checkGoroutines(t)
+	opt := procOpts(t)
+	opt.Retries = 3
+	sum, err := Run(context.Background(), []Job{okJob("w-not-in-worker")}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sum.Results[0]
+	if res.Status != Failed || res.Class != ClassFatal {
+		t.Fatalf("status %s class %v, want Failed/ClassFatal (err: %v)", res.Status, res.Class, res.Err)
+	}
+	if res.Attempts != 1 {
+		t.Fatalf("unknown job retried: %d attempts", res.Attempts)
+	}
 }
 
 // TestProcessIsolationDisturbedByteIdentical is the acceptance scenario:
@@ -375,54 +439,6 @@ func TestProcessIsolationDisturbedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHedgedStragglerWinsWithIdenticalTable: a job running far past the
-// completed-attempt p95 gets a duplicate worker; the duplicate finishes
-// first and its table is used.
-func TestHedgedStragglerWinsWithIdenticalTable(t *testing.T) {
-	checkGoroutines(t)
-	t.Setenv("CAMPAIGN_TEST_LATCH", t.TempDir())
-
-	reg := obs.NewRegistry()
-	opt := procOpts(t)
-	opt.Workers = 1 // warm the p95 on the quick jobs before the straggler
-	opt.StallTimeout = 10 * time.Second
-	opt.HedgeMultiple = 1.5
-	opt.Progress = NewProgress(reg)
-	opt.Log = t.Logf
-	jobs := []Job{okJob("w-ok-a"), okJob("w-ok-b"), okJob("w-ok-c"), hedgeStragglerJob()}
-
-	start := time.Now()
-	sum, err := Run(context.Background(), jobs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	for _, res := range sum.Results {
-		if res.Status != Done {
-			t.Fatalf("job %s ended %s: %v", res.Job.Name, res.Status, res.Err)
-		}
-	}
-	if got := reg.Counter("campaign.worker.hedges_launched").Value(); got != 1 {
-		t.Errorf("hedges_launched = %d, want 1", got)
-	}
-	if got := reg.Counter("campaign.worker.hedges_won").Value(); got != 1 {
-		t.Errorf("hedges_won = %d, want 1", got)
-	}
-	// The primary dawdles 20s; winning via the hedge keeps the campaign
-	// far under that.
-	if elapsed > 15*time.Second {
-		t.Errorf("campaign took %v; hedge apparently never won", elapsed)
-	}
-	// The straggler's table must match an in-process run of the same job.
-	refTable, err := runWorkerSim(context.Background(), "w-straggler", core.SuperviseStride)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tablesEqual(sum.Results[3].Table, refTable) {
-		t.Errorf("hedged table differs from reference:\n%v\nvs\n%v", sum.Results[3].Table, refTable)
-	}
-}
-
 // TestWorkerFatalExitNotRetried: a worker that dies with the fatal exit
 // code and no response is never retried.
 func TestWorkerFatalExitNotRetried(t *testing.T) {
@@ -477,11 +493,6 @@ func TestProcessIsolationRequiresWorkerCommand(t *testing.T) {
 	opt.Isolation = "container"
 	if _, err := Run(context.Background(), []Job{trivialJob("x")}, opt); err == nil {
 		t.Fatal("unknown isolation mode accepted")
-	}
-	opt = fastOpts()
-	opt.HedgeMultiple = 2
-	if _, err := Run(context.Background(), []Job{trivialJob("x")}, opt); err == nil {
-		t.Fatal("hedging without process isolation accepted")
 	}
 }
 

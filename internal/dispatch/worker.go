@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"camouflage/internal/campaign"
-	"camouflage/internal/core"
 	"camouflage/internal/iofault"
-	"camouflage/internal/obs"
 )
 
 // Worker reconnect defaults; deliberately the same shape as the
@@ -285,56 +283,28 @@ func (w *workerState) serveConn(ctx context.Context, conn net.Conn) error {
 // runAssignment executes one assigned attempt, streaming its heartbeats
 // on cw, and returns the result message to report.
 func (w *workerState) runAssignment(ctx context.Context, cw *connWriter, m msg) msg {
-	var job *campaign.Job
-	for i := range w.cfg.Jobs {
-		if w.cfg.Jobs[i].Name == m.JobName {
-			job = &w.cfg.Jobs[i]
-			break
-		}
-	}
-	result := msg{Type: msgResult, JobName: m.JobName, JobHash: m.JobHash, Attempt: m.Attempt, Fence: m.Fence}
-	if job == nil {
-		result.Error = fmt.Sprintf("unknown job %q (worker job list diverges from supervisor)", m.JobName)
-		result.Class = campaign.ClassFatal.String()
-		return result
-	}
-	if h := job.Hash(); h != m.JobHash {
-		result.Error = fmt.Sprintf("spec hash mismatch for %q: worker built %s, supervisor sent %s", m.JobName, h, m.JobHash)
-		result.Class = campaign.ClassFatal.String()
-		return result
-	}
-
+	dir := ""
 	if w.cfg.CheckpointRoot != "" {
-		ctx = campaign.WithCheckpointDir(ctx, filepath.Join(w.cfg.CheckpointRoot, m.JobHash))
+		dir = filepath.Join(w.cfg.CheckpointRoot, m.JobHash)
 	}
-	// Beats are stamped with the lease fence so the supervisor can fence
-	// out zombies.
-	bw := campaign.NewHeartbeatWriter(func(f campaign.HeartbeatFrame) error {
+	table, lastCycle, err := campaign.ServeAttempt(ctx, w.cfg.Jobs, campaign.Assignment{
+		Name:           m.JobName,
+		Hash:           m.JobHash,
+		Attempt:        m.Attempt,
+		CheckpointDir:  dir,
+		HeartbeatEvery: time.Duration(m.HeartbeatMS) * time.Millisecond,
+		WantMetrics:    m.WantMetrics,
+		SLO:            m.SLO,
+	}, func(f campaign.HeartbeatFrame) error {
+		// Beats are stamped with the lease fence so the supervisor can
+		// fence out zombies.
 		return cw.send(msg{Type: msgBeat, JobHash: m.JobHash, Fence: m.Fence, Beat: &f})
-	}, time.Duration(m.HeartbeatMS)*time.Millisecond)
-	ctx = core.WithHeartbeatFunc(ctx, bw.Beat)
-	if m.WantMetrics {
-		reg := obs.NewRegistry()
-		var monitor *obs.SLOMonitor
-		if m.SLO != "" {
-			if rules, err := obs.ParseSLOSpec(m.SLO); err == nil {
-				monitor = obs.NewSLOMonitor(rules, reg, nil)
-			} else {
-				w.logf("dispatch worker: ignoring SLO spec: %v", err)
-			}
-		}
-		ctx = obs.NewContext(ctx, &obs.Bundle{Registry: reg, Alerts: monitor})
-		bw.SetTelemetry(obs.NewDeltaTracker(reg), monitor)
+	})
+	if lastCycle > w.lastCycle {
+		w.lastCycle = lastCycle
 	}
 
-	bw.Emit(campaign.FrameStart)
-	table, err := campaign.RunAttempt(ctx, *job, m.Attempt)
-	bw.Emit(campaign.FrameDone) // flushes the final metrics delta
-	if c := bw.LastCycle(); c > w.lastCycle {
-		w.lastCycle = c
-	}
-
-	result.Table = table
+	result := msg{Type: msgResult, JobName: m.JobName, JobHash: m.JobHash, Attempt: m.Attempt, Fence: m.Fence, Table: table}
 	if err != nil {
 		result.Error = err.Error()
 		result.Class = campaign.Classify(err).String()

@@ -140,10 +140,9 @@ func (t *DeltaTracker) Delta() *MetricsDelta {
 
 // Merger folds worker MetricsDeltas into a supervisor registry under an
 // interned name prefix (one Merger per attempt, prefix like
-// "worker.<jobhash>." or "worker.<jobhash>.hedge."). Counter and bucket
-// increments Add; gauges Set. Apply may be called from supervisor
-// heartbeat goroutines — instrument mutation is atomic and name interning
-// takes the registry mutex.
+// "worker.<jobhash>."). Counter and bucket increments Add; gauges Set.
+// Apply may be called from supervisor heartbeat goroutines — instrument
+// mutation is atomic and name interning takes the registry mutex.
 type Merger struct {
 	reg    *Registry
 	prefix string
@@ -158,19 +157,12 @@ type Merger struct {
 // NewMerger returns a merger writing under prefix, first zeroing any
 // instruments already registered there: a restarted attempt re-reports
 // from a fresh process registry, so `worker.<hash>.` always reflects
-// the live attempt rather than double-counting its predecessors. The
-// segregated `.hedge.` subtree under a primary prefix is spared — the
-// hedge sibling's own merger manages it, and a restarted primary must
-// not wipe hedge-attempt metrics.
+// the live attempt rather than double-counting its predecessors.
 func NewMerger(reg *Registry, prefix string) *Merger {
 	if reg == nil {
 		return nil
 	}
-	skip := ""
-	if !strings.HasSuffix(prefix, ".hedge.") {
-		skip = prefix + "hedge."
-	}
-	reg.zeroPrefix(prefix, skip)
+	reg.ZeroPrefix(prefix)
 	return &Merger{
 		reg:      reg,
 		prefix:   prefix,
@@ -253,33 +245,23 @@ func (m *Merger) Prefix() string {
 // counters and histogram buckets to zero, gauges to zero. Registration
 // (the sorted index) is untouched.
 func (r *Registry) ZeroPrefix(prefix string) {
-	r.zeroPrefix(prefix, "")
-}
-
-// zeroPrefix is ZeroPrefix with an optional carve-out: names starting
-// with skip (itself under prefix) are left alone.
-func (r *Registry) zeroPrefix(prefix, skip string) {
 	if r == nil {
 		return
-	}
-	match := func(name string) bool {
-		return strings.HasPrefix(name, prefix) &&
-			(skip == "" || !strings.HasPrefix(name, skip))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for name, c := range r.counters {
-		if match(name) {
+		if strings.HasPrefix(name, prefix) {
 			c.v.Store(0)
 		}
 	}
 	for name, g := range r.gauges {
-		if match(name) {
+		if strings.HasPrefix(name, prefix) {
 			g.Set(0)
 		}
 	}
 	for name, h := range r.hists {
-		if match(name) {
+		if strings.HasPrefix(name, prefix) {
 			for i := range h.counts {
 				h.counts[i].Store(0)
 			}

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -339,33 +338,6 @@ func TestForEachScalarReportsHistTotals(t *testing.T) {
 	}
 }
 
-// TestMergerRestartSparesHedgeSubtree: zeroing the primary prefix on a
-// restarted attempt must not wipe the hedge sibling's segregated
-// metrics, which the hedge merger manages independently.
-func TestMergerRestartSparesHedgeSubtree(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("worker.abc.reqs").Add(10)
-	reg.Counter("worker.abc.hedge.reqs").Add(7)
-
-	NewMerger(reg, "worker.abc.")
-	if v, _ := reg.Value("worker.abc.reqs"); v != 0 {
-		t.Fatalf("primary restart did not zero its own prefix: %v", v)
-	}
-	if v, _ := reg.Value("worker.abc.hedge.reqs"); v != 7 {
-		t.Fatalf("primary restart wiped the hedge subtree: %v", v)
-	}
-
-	// A restarted hedge zeroes only its own subtree.
-	reg.Counter("worker.abc.reqs").Add(3)
-	NewMerger(reg, "worker.abc.hedge.")
-	if v, _ := reg.Value("worker.abc.hedge.reqs"); v != 0 {
-		t.Fatalf("hedge restart did not zero its subtree: %v", v)
-	}
-	if v, _ := reg.Value("worker.abc.reqs"); v != 3 {
-		t.Fatalf("hedge restart touched the primary: %v", v)
-	}
-}
-
 // --- delta tracker / merger -------------------------------------------
 
 func TestDeltaTrackerAndMergerRoundTrip(t *testing.T) {
@@ -642,38 +614,5 @@ func TestTracerArtifactsCompleteAfterClose(t *testing.T) {
 	var last map[string]any
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
 		t.Fatalf("final jsonl line torn: %v", err)
-	}
-}
-
-// --- profile capture --------------------------------------------------
-
-func TestProfileCaptureBoundedAndDeterministicNames(t *testing.T) {
-	dir := t.TempDir()
-	p := &ProfileCapture{Dir: dir, Max: 2, CPU: 10 * time.Millisecond}
-	if !p.Capture("stall-abc") {
-		t.Fatal("first capture refused")
-	}
-	if !p.Capture("drift_l1>0.2") {
-		t.Fatal("second capture refused")
-	}
-	if p.Capture("third") {
-		t.Fatal("capture beyond Max accepted")
-	}
-	p.Wait()
-	for _, want := range []string{
-		"capture-01-stall-abc.heap.pb.gz",
-		"capture-02-drift_l1_0_2.heap.pb.gz",
-	} {
-		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
-			t.Fatalf("missing %s: %v", want, err)
-		}
-	}
-	// A nil capture and an unconfigured one are inert.
-	var nilP *ProfileCapture
-	if nilP.Capture("x") {
-		t.Fatal("nil capture succeeded")
-	}
-	if (&ProfileCapture{}).Capture("x") {
-		t.Fatal("dirless capture succeeded")
 	}
 }

@@ -120,7 +120,6 @@ type SLOMonitor struct {
 	cleared *Counter
 	active  *Gauge
 	nActive int
-	onAlert func(Alert) // optional hook (profile capture)
 }
 
 // NewSLOMonitor builds a monitor over rules, registering obs.alerts.*
@@ -138,17 +137,6 @@ func NewSLOMonitor(rules []SLORule, reg *Registry, sink io.Writer) *SLOMonitor {
 		cleared: reg.Counter("obs.alerts.cleared"),
 		active:  reg.Gauge("obs.alerts.active"),
 	}
-}
-
-// OnAlert installs fn, called (with the monitor lock held) for every
-// raised alert — the auto-capture hook.
-func (m *SLOMonitor) OnAlert(fn func(Alert)) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.onAlert = fn
-	m.mu.Unlock()
 }
 
 // Check evaluates every rule against reg at the given grid cycle. Call
@@ -250,9 +238,6 @@ func (m *SLOMonitor) emit(a Alert) {
 		if _, err := m.sink.Write(line); err != nil {
 			m.sinkErr = err // degrade: stop writing, keep monitoring
 		}
-	}
-	if m.onAlert != nil && a.Kind == "raised" {
-		m.onAlert(a)
 	}
 }
 

@@ -10,7 +10,20 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+# pids lists the background processes still running. On any exit, TERM
+# and reap them before removing the workdir: a TERMed process-isolated
+# supervisor drains its own workers before it exits.
+pids=""
+cleanup() {
+  if [ -n "$pids" ]; then
+    # shellcheck disable=SC2086
+    kill $pids 2>/dev/null || true
+    # shellcheck disable=SC2086
+    wait $pids 2>/dev/null || true
+  fi
+  rm -rf "$workdir"
+}
+trap cleanup EXIT
 
 bin="$workdir/experiments"
 go build -o "$bin" ./cmd/experiments
@@ -30,6 +43,7 @@ journal="$workdir/journal.jsonl"
 "$bin" -run "$RUN" -cycles "$CYCLES" -jobs 1 -grace 30s \
   -journal "$journal" >"$workdir/interrupted.txt" 2>"$workdir/interrupted.err" &
 pid=$!
+pids=$pid
 for _ in $(seq 1 300); do
   done_jobs=0
   if [ -f "$journal" ]; then
@@ -47,6 +61,7 @@ done
 kill -INT "$pid"
 rc=0
 wait "$pid" || rc=$?
+pids=""
 if [ "$rc" -eq 0 ]; then
   echo "campaign-smoke: interrupted campaign exited 0; expected a partial run" >&2
   exit 1

@@ -9,7 +9,20 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+# pids lists the background processes still running. On any exit, TERM
+# and reap them before removing the workdir: a TERMed process-isolated
+# supervisor drains its own workers before it exits.
+pids=""
+cleanup() {
+  if [ -n "$pids" ]; then
+    # shellcheck disable=SC2086
+    kill $pids 2>/dev/null || true
+    # shellcheck disable=SC2086
+    wait $pids 2>/dev/null || true
+  fi
+  rm -rf "$workdir"
+}
+trap cleanup EXIT
 
 go build -o "$workdir/camsim" ./cmd/camsim
 go build -o "$workdir/obscheck" ./cmd/obscheck
@@ -26,6 +39,7 @@ ckdir="$workdir/ckpts"
   -checkpoint-dir "$ckdir" -checkpoint-every "$EVERY" \
   >"$workdir/killed.txt" 2>"$workdir/killed.err" &
 pid=$!
+pids=$pid
 for _ in $(seq 1 600); do
   if ls "$ckdir"/*.camckpt >/dev/null 2>&1; then
     break
@@ -42,6 +56,7 @@ if ! kill -0 "$pid" 2>/dev/null; then
 fi
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
+pids=""
 n=$(ls "$ckdir"/*.camckpt | wc -l)
 echo "ckpt-smoke: SIGKILLed pid $pid with $n checkpoint(s) on disk"
 

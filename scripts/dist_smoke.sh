@@ -17,8 +17,12 @@ cd "$(dirname "$0")/.."
 workdir=$(mktemp -d)
 pids=""
 cleanup() {
-  # shellcheck disable=SC2086
-  [ -n "$pids" ] && kill $pids 2>/dev/null || true
+  if [ -n "$pids" ]; then
+    # shellcheck disable=SC2086
+    kill $pids 2>/dev/null || true
+    # shellcheck disable=SC2086
+    wait $pids 2>/dev/null || true
+  fi
   rm -rf "$workdir"
 }
 trap cleanup EXIT

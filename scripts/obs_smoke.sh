@@ -22,7 +22,20 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+# pids lists the background processes still running. On any exit, TERM
+# and reap them before removing the workdir: a TERMed process-isolated
+# supervisor drains its own workers before it exits.
+pids=""
+cleanup() {
+  if [ -n "$pids" ]; then
+    # shellcheck disable=SC2086
+    kill $pids 2>/dev/null || true
+    # shellcheck disable=SC2086
+    wait $pids 2>/dev/null || true
+  fi
+  rm -rf "$workdir"
+}
+trap cleanup EXIT
 
 bin="$workdir/experiments"
 check="$workdir/obscheck"
@@ -34,6 +47,7 @@ go build -o "$check" ./cmd/obscheck
   -obs-addr 127.0.0.1:0 -trace-out "$workdir/trace" -trace-sample 32 \
   -progress 200ms >"$workdir/out.txt" 2>"$workdir/err.txt" &
 pid=$!
+pids=$pid
 
 # The server logs its bound address (port 0 → kernel-assigned) first.
 addr=""
@@ -78,6 +92,7 @@ cat "$workdir/scrape.txt"
 
 rc=0
 wait "$pid" || rc=$?
+pids=""
 if [ "$rc" -ne 0 ]; then
   echo "obs-smoke: campaign failed (exit $rc)" >&2
   cat "$workdir/err.txt" >&2
@@ -102,13 +117,17 @@ echo "obs-smoke: phase 1 OK ($spans sampled spans, live scrape OK)"
 # Workers evaluate the SLO on their own supervision grids and piggyback
 # metric deltas and alerts on heartbeat frames; the supervisor merges
 # them under worker.<jobhash>. prefixes. sim.cycle>1 fires
-# deterministically at every worker's first grid point.
-"$bin" -run fig11,fig9 -cycles 200000 -jobs 2 -isolation=process \
+# deterministically at every worker's first grid point. The cycle count
+# keeps the campaign (and its server) up for several seconds on a 2-vCPU
+# host; at 200000 cycles it exited in about 0.1 s, before the live scrape
+# could reach it.
+"$bin" -run fig11,fig9 -cycles 10000000 -jobs 2 -isolation=process \
   -slo 'sim.cycle>1' -alerts "$workdir/campaign-alerts.jsonl" \
   -history-out "$workdir/campaign-history.json" \
   -obs-addr 127.0.0.1:0 -progress 200ms \
   >"$workdir/out2.txt" 2>"$workdir/err2.txt" &
 pid=$!
+pids=$pid
 
 addr=""
 for _ in $(seq 1 100); do
@@ -153,6 +172,7 @@ cat "$workdir/scrape2.txt"
 
 rc=0
 wait "$pid" || rc=$?
+pids=""
 if [ "$rc" -ne 0 ]; then
   echo "obs-smoke: process campaign failed (exit $rc)" >&2
   cat "$workdir/err2.txt" >&2

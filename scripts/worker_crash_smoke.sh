@@ -9,7 +9,20 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+# pids lists the background processes still running. On any exit, TERM
+# and reap them before removing the workdir: a TERMed process-isolated
+# supervisor drains its own workers before it exits.
+pids=""
+cleanup() {
+  if [ -n "$pids" ]; then
+    # shellcheck disable=SC2086
+    kill $pids 2>/dev/null || true
+    # shellcheck disable=SC2086
+    wait $pids 2>/dev/null || true
+  fi
+  rm -rf "$workdir"
+}
+trap cleanup EXIT
 
 go build -o "$workdir/camsim" ./cmd/camsim
 go build -o "$workdir/experiments" ./cmd/experiments
@@ -27,6 +40,7 @@ ckdir="$workdir/ckpts"
   -isolation process -checkpoint-dir "$ckdir" -checkpoint-every "$EVERY" \
   >"$workdir/supervised.txt" 2>"$workdir/supervised.err" &
 pid=$!
+pids=$pid
 worker=""
 for _ in $(seq 1 600); do
   if ls "$ckdir"/*.camckpt >/dev/null 2>&1; then
@@ -49,7 +63,10 @@ echo "worker-smoke: SIGKILLed worker $worker under supervisor $pid"
 
 # The supervisor itself must absorb the crash: restart the worker,
 # resume from the surviving checkpoints, and exit 0.
-if ! wait "$pid"; then
+rc=0
+wait "$pid" || rc=$?
+pids=""
+if [ "$rc" -ne 0 ]; then
   echo "worker-smoke: supervisor failed after the worker SIGKILL:" >&2
   cat "$workdir/supervised.err" >&2
   exit 1
