@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz-seeds fuzz experiments campaign-smoke obs-smoke ckpt-smoke chaos-soak worker-smoke dist-smoke bench-kernel bench-kernel-check
+.PHONY: ci fmt vet build test race fuzz-seeds fuzz experiments campaign-smoke obs-smoke ckpt-smoke chaos-soak worker-smoke bench-kernel bench-kernel-check
 
 ci: fmt vet build race fuzz-seeds
 
@@ -42,7 +42,8 @@ experiments:
 	$(GO) run ./cmd/experiments
 
 # End-to-end resilience check: tiny-cycle campaign, SIGINT at ~50%,
-# resume to completion, output byte-identical to an uninterrupted run.
+# resume to completion, output byte-identical to an uninterrupted run,
+# journal validated by obscheck -journal.
 campaign-smoke:
 	./scripts/campaign_smoke.sh
 
@@ -90,17 +91,11 @@ ckpt-smoke:
 worker-smoke:
 	./scripts/worker_crash_smoke.sh
 
-# Distributed dispatch smoke: an experiments supervisor on an ephemeral
-# TCP port drives two camworker processes; one is SIGKILLed mid-job, the
-# other's link injects deterministic partition faults. The campaign must
-# complete with a report byte-identical to a local -isolation=process
-# run, and the journal must pass obscheck's fencing-token validation.
-dist-smoke:
-	./scripts/dist_smoke.sh
-
 # Chaos soak: random SIGKILL + injected disk faults + at-rest checkpoint
 # corruption, resumed every iteration and byte-compared against a clean
-# reference, plus per-iteration goroutine-leak and heap-growth checks.
+# reference, plus the in-process degradation suite, a process-isolated
+# campaign whose worker SIGKILLs itself mid-job, and per-iteration
+# goroutine-leak and heap-growth checks.
 # The default 20-iteration deterministic profile is the CI gate; set
 # CHAOS_SOAK_FULL=1 (and optionally CHAOS_SOAK_ITERS/CHAOS_SOAK_SEED)
 # for the full randomized profile.

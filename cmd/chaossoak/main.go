@@ -10,9 +10,9 @@
 //     undisturbed run), a campaign whose journal flushes fail and heal
 //     (must drain cleanly), and an obs server whose accept loop dies
 //     (must degrade to disabled);
-//  3. drives a campaign through a localhost TCP worker fleet whose
-//     connections partition mid-stream: workers must reconnect, resume
-//     re-leased jobs from checkpoints, and the merged results must be
+//  3. runs a small campaign under process isolation whose worker
+//     SIGKILLs itself mid-job: the supervisor must restart it, the retry
+//     must resume from its checkpoint, and every table must be
 //     byte-identical to an undisturbed in-process campaign;
 //  4. checks for goroutine leaks and unbounded heap growth.
 //
@@ -122,9 +122,6 @@ func (s *soak) run(iters int) error {
 		}
 		if err := s.processIsolation(iterSeed); err != nil {
 			return fmt.Errorf("iteration %d (seed %d): process isolation: %w", it, iterSeed, err)
-		}
-		if err := s.dispatchFabric(iterSeed); err != nil {
-			return fmt.Errorf("iteration %d (seed %d): dispatch fabric: %w", it, iterSeed, err)
 		}
 		if err := s.leakChecks(it); err != nil {
 			return fmt.Errorf("iteration %d (seed %d): %w", it, iterSeed, err)

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"camouflage/internal/campaign"
-	"camouflage/internal/dispatch"
 	"camouflage/internal/harness"
 	"camouflage/internal/obs"
 	"camouflage/internal/sim"
@@ -78,10 +77,6 @@ func main() {
 	memLimit := flag.String("mem-limit", "", "with -isolation=process: kill and retry a worker whose RSS exceeds this (e.g. 2GiB; empty = no ceiling)")
 	stallTimeout := flag.Duration("stall-timeout", campaign.DefaultStallTimeout, "with -isolation=process: escalate a worker with no heartbeat for this long (SIGTERM, then SIGKILL)")
 	ckptRoot := flag.String("checkpoint-dir", "", "per-job crash-safe checkpoints under this directory; a retried or restarted job resumes mid-simulation")
-	listen := flag.String("listen", "", "supervise a distributed worker fleet: accept camworker connections on this address (e.g. :9090) and dispatch jobs over TCP; no reachable workers degrades to local execution")
-	fleetToken := flag.String("fleet-token", "", "with -listen: shared secret workers must present at handshake")
-	leaseTTL := flag.Duration("lease", dispatch.DefaultLeaseTTL, "with -listen: job lease duration; a worker silent past this is fenced off and its job re-dispatched")
-	fleetWait := flag.Duration("fleet-wait", 5*time.Second, "with -listen: wait up to this long for the first worker before degrading to local execution")
 	flag.Parse()
 
 	c := sim.Cycle(*cycles)
@@ -94,10 +89,6 @@ func main() {
 	selected, err := suite.Select(exps, *run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *listen != "" && campaign.Isolation(*isolation) == campaign.IsolationProcess {
-		fmt.Fprintln(os.Stderr, "experiments: -listen and -isolation=process are mutually exclusive (remote workers already isolate)")
 		os.Exit(2)
 	}
 
@@ -228,9 +219,7 @@ func main() {
 		}
 	}
 
-	all := suite.Jobs(selected)
-	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	opt := campaign.Options{
+	sum, err := campaign.Run(ctx, suite.Jobs(selected), campaign.Options{
 		Workers:       *jobs,
 		Retries:       *retries,
 		JobTimeout:    *jobTimeout,
@@ -248,51 +237,8 @@ func main() {
 		History:       hist,
 		Alerts:        monitor,
 		SLO:           *sloSpec,
-		Log:           logf,
-	}
-	var sup *dispatch.Supervisor
-	if *listen != "" {
-		// Distributed dispatch: jobs go to the TCP fleet; with no
-		// reachable workers the supervisor degrades to this local
-		// executor. The fleet hash covers the FULL suite (not just the
-		// -run selection) so any worker built with the same parameters
-		// can join regardless of which subset this run emits.
-		fallback, ferr := campaign.NewLocalExecutor(opt, logf)
-		if ferr != nil {
-			closeObs()
-			fmt.Fprintln(os.Stderr, ferr)
-			os.Exit(2)
-		}
-		sup = dispatch.NewSupervisor(dispatch.SupervisorConfig{
-			Token:     *fleetToken,
-			Jobs:      suite.Jobs(exps),
-			LeaseTTL:  *leaseTTL,
-			FleetWait: *fleetWait,
-			Fallback:  fallback,
-			Journal:   journal,
-			Registry:  reg,
-			History:   hist,
-			Alerts:    monitor,
-			SLO:       *sloSpec,
-			Log:       logf,
-		})
-		addr, serr := sup.Start(*listen)
-		if serr != nil {
-			closeObs()
-			fmt.Fprintln(os.Stderr, serr)
-			os.Exit(2)
-		}
-		// Scripts parse this exact line for the bound (possibly
-		// ephemeral) port.
-		fmt.Fprintf(os.Stderr, "dispatch: listening on %s\n", addr)
-		opt.Dispatcher = sup
-	}
-	sum, err := campaign.Run(ctx, all, opt)
-	if sup != nil {
-		// Drain the fleet inside the SIGINT grace window: stop accepting,
-		// send drain frames, wait for worker conns to settle.
-		sup.Close()
-	}
+		Log:           func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+	})
 	if err != nil {
 		closeObs()
 		fmt.Fprintln(os.Stderr, err)

@@ -8,7 +8,7 @@
 //	obscheck -history hist.json          # saved /metrics/history document
 //	obscheck -alerts alerts.jsonl        # saved SLO alert log
 //	obscheck -ckpt out/ckpts             # checkpoint file or directory
-//	obscheck -journal out/campaign.jsonl # campaign journal (fencing tokens)
+//	obscheck -journal out/campaign.jsonl # campaign journal
 //
 // -trace checks the Chrome trace_event file against the schema the
 // viewers (Perfetto, chrome://tracing) require — a top-level traceEvents
@@ -26,7 +26,8 @@
 // validates a checkpoint container's magic, version, declared payload
 // length and SHA-256 checksum — for a directory, every *.camckpt file
 // in it; -ckpt-config-hash additionally pins the configuration hash the
-// checkpoints must carry.
+// checkpoints must carry. -journal validates a campaign journal: every
+// line is JSON naming a job and spec hash, with status done or failed.
 package main
 
 import (
@@ -55,7 +56,7 @@ func main() {
 	alertsPath := flag.String("alerts", "", "validate SLO alerts: a saved JSONL log, or a base URL whose /alerts document to scrape live")
 	ckptPath := flag.String("ckpt", "", "validate a checkpoint file, or every *.camckpt in a directory")
 	ckptHash := flag.String("ckpt-config-hash", "", "hex config hash the checkpoints must carry (with -ckpt)")
-	journalPath := flag.String("journal", "", "validate a campaign journal JSONL: record schema, terminal statuses, and globally unique fencing tokens")
+	journalPath := flag.String("journal", "", "validate a campaign journal JSONL: record schema and terminal statuses")
 	flag.Parse()
 
 	if *tracePath == "" && *metricsURL == "" && *metricsFile == "" && *jobsURL == "" &&
@@ -107,17 +108,11 @@ type journalRecord struct {
 	Job    string `json:"job"`
 	Hash   string `json:"hash"`
 	Status string `json:"status"`
-	Fence  uint64 `json:"fence"`
-	Worker string `json:"worker"`
-	Class  string `json:"class"`
 }
 
 // checkJournal validates a campaign journal line-by-line: every record
-// decodes, names a job, spec hash and a known terminal status, and —
-// the distributed-dispatch invariant — no two records carry the same
-// nonzero fencing token. The lease table hands out strictly increasing
-// fences, so a duplicate means a zombie attempt's result was accounted
-// twice. Superseded records must carry the fence that lost the race.
+// decodes and names a job, a spec hash and a terminal status (done or
+// failed).
 func checkJournal(path string) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -128,39 +123,22 @@ func checkJournal(path string) bool {
 	if len(lines) == 1 && lines[0] == "" {
 		lines = nil
 	}
-	fences := make(map[uint64]int, len(lines))
-	superseded := 0
 	for i, line := range lines {
 		var rec journalRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			fail("%s:%d: not valid JSON: %v", path, i+1, err)
 			return false
 		}
-		switch {
-		case rec.Job == "" || rec.Hash == "":
+		if rec.Job == "" || rec.Hash == "" {
 			fail("%s:%d: record missing job/hash", path, i+1)
-		case rec.Status != "done" && rec.Status != "failed" && rec.Status != "superseded":
-			fail("%s:%d: status %q, want done, failed or superseded", path, i+1, rec.Status)
-		case rec.Status == "superseded" && rec.Fence == 0:
-			fail("%s:%d: superseded record without a fencing token", path, i+1)
-		case rec.Status == "superseded" && rec.Class != "superseded":
-			fail("%s:%d: superseded record with class %q", path, i+1, rec.Class)
-		default:
-			if rec.Fence != 0 {
-				if prev, dup := fences[rec.Fence]; dup {
-					fail("%s:%d: fencing token %d already used on line %d (double-counted attempt)", path, i+1, rec.Fence, prev)
-					return false
-				}
-				fences[rec.Fence] = i + 1
-			}
-			if rec.Status == "superseded" {
-				superseded++
-			}
-			continue
+			return false
 		}
-		return false
+		if rec.Status != "done" && rec.Status != "failed" {
+			fail("%s:%d: status %q, want done or failed", path, i+1, rec.Status)
+			return false
+		}
 	}
-	fmt.Printf("obscheck: %s: %d records (%d superseded, %d fenced) OK\n", path, len(lines), superseded, len(fences))
+	fmt.Printf("obscheck: %s: %d records OK\n", path, len(lines))
 	return true
 }
 
@@ -419,28 +397,20 @@ func checkAlertLog(src string) bool {
 	return true
 }
 
-// checkWorkerPrefix enforces the fleet metric namespace on any
-// worker.* instrument:
-//
-//	worker.<jobhash>.<metric>           local process-isolated attempt
-//	worker.<label>.<jobhash>.<metric>   remote fleet member <label>
-//
-// where <jobhash> is the 16-hex spec hash and <label> is a sanitized
-// worker identity over [A-Za-z0-9_-]. Names outside these shapes would
-// make the merged dump unattributable (and un-zeroable on zombie
-// rejection), so CI rejects them.
+// checkWorkerPrefix enforces the merged worker metric namespace on any
+// worker.* instrument: worker.<jobhash>.<metric>, where <jobhash> is
+// the 16-hex spec hash of the process-isolated attempt that produced it.
+// Names outside this shape would make the merged dump unattributable,
+// so CI rejects them.
 func checkWorkerPrefix(name string) error {
 	if !strings.HasPrefix(name, "worker.") {
 		return nil
 	}
 	parts := strings.Split(name, ".")
 	if len(parts) >= 3 && isJobHash(parts[1]) && parts[2] != "" {
-		return nil // local: worker.<jobhash>.<metric...>
+		return nil
 	}
-	if len(parts) >= 4 && isFleetLabel(parts[1]) && isJobHash(parts[2]) && parts[3] != "" {
-		return nil // remote: worker.<label>.<jobhash>.<metric...>
-	}
-	return fmt.Errorf("worker metric %q does not match worker.<jobhash>.* or worker.<label>.<jobhash>.*", name)
+	return fmt.Errorf("worker metric %q does not match worker.<jobhash>.*", name)
 }
 
 // isJobHash reports whether s is a 16-digit lowercase hex spec hash.
@@ -451,22 +421,6 @@ func isJobHash(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// isFleetLabel reports whether s is a sanitized worker identity.
-func isFleetLabel(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_', c == '-':
-		default:
 			return false
 		}
 	}

@@ -109,7 +109,7 @@ type Options struct {
 
 	// Registry, when non-nil under IsolationProcess, receives every
 	// worker's metric deltas merged under a `worker.<jobhash>.` prefix,
-	// so the supervisor's /metrics shows the whole fleet.
+	// so the supervisor's /metrics shows every worker.
 	Registry *obs.Registry
 	// History, when non-nil, additionally records merged worker gauges
 	// and counters as (cycle, value) series at each heartbeat frame's
@@ -122,13 +122,6 @@ type Options struct {
 	// SLO is the declarative rule spec forwarded to workers (see
 	// obs.ParseSLOSpec); empty disables worker-side evaluation.
 	SLO string
-
-	// Dispatcher, when non-nil, overrides the isolation-selected executor
-	// with an external one — typically a distributed dispatch supervisor
-	// (internal/dispatch) driving remote TCP workers, which itself falls
-	// back to a local Executor built via NewLocalExecutor when the fleet
-	// is empty.
-	Dispatcher Executor
 }
 
 // Isolation names a job execution mode.
@@ -376,12 +369,11 @@ feed:
 	return sum, journalErr
 }
 
-// Executor runs one job attempt; the in-process executor calls the job
-// function directly, the process executor re-execs a supervised worker,
-// and a distributed dispatcher (Options.Dispatcher) leases attempts to
-// remote workers. Execute must honor ctx cancellation and return an
-// error whose Classify class drives the retry loop.
-type Executor interface {
+// executor runs one job attempt; the in-process executor calls the job
+// function directly, the process executor re-execs a supervised worker.
+// Execute must honor ctx cancellation and return an error whose Classify
+// class drives the retry loop.
+type executor interface {
 	Execute(ctx context.Context, job Job, attempt int) (*harness.Table, error)
 }
 
@@ -395,10 +387,7 @@ func (inprocExecutor) Execute(ctx context.Context, job Job, attempt int) (*harne
 
 // newExecutor validates the isolation options and builds the attempt
 // executor.
-func newExecutor(opt Options) (Executor, error) {
-	if opt.Dispatcher != nil {
-		return opt.Dispatcher, nil
-	}
+func newExecutor(opt Options) (executor, error) {
 	switch opt.Isolation {
 	case "", IsolationInProc:
 		return inprocExecutor{}, nil
@@ -412,19 +401,8 @@ func newExecutor(opt Options) (Executor, error) {
 	}
 }
 
-// NewLocalExecutor builds the local (non-dispatched) executor the given
-// options describe: in-process for ""/IsolationInProc, a supervised
-// worker process for IsolationProcess. A distributed dispatcher uses
-// this as its degraded-mode fallback when no remote workers are
-// reachable. opt.Dispatcher is ignored. No local executor logs, so the
-// log function is unused.
-func NewLocalExecutor(opt Options, _ func(string, ...any)) (Executor, error) {
-	opt.Dispatcher = nil
-	return newExecutor(opt)
-}
-
 // runJob drives one job through its attempt/backoff loop and fills res.
-func runJob(ctx, graceCtx context.Context, res *Result, opt Options, exec Executor, logf func(string, ...any)) {
+func runJob(ctx, graceCtx context.Context, res *Result, opt Options, exec executor, logf func(string, ...any)) {
 	start := time.Now()
 	defer func() { res.Elapsed = time.Since(start) }()
 	for attempt := 1; ; attempt++ {
@@ -521,32 +499,26 @@ func runAttempt(ctx context.Context, job Job, attempt int) (table *harness.Table
 	return job.Run(ctx, attempt)
 }
 
-// backoff computes the delay before retrying `attempt` (1-based).
+// backoff computes the delay before retrying `attempt` (1-based):
+// Backoff·2^(attempt-1) capped at MaxBackoff, jittered to 50–150% by a
+// pure function of (Seed, hash, attempt) so tests are reproducible and
+// concurrent retries de-synchronize.
 func backoff(opt Options, hash string, attempt int) time.Duration {
-	return BackoffDelay(opt.Backoff, opt.MaxBackoff, opt.Seed, hash, attempt)
-}
-
-// BackoffDelay computes the delay before retrying `attempt` (1-based):
-// base·2^(attempt-1) capped at max, jittered to 50–150% by a pure
-// function of (seed, key, attempt) so tests are reproducible and
-// concurrent retries de-synchronize. Exported for remote workers
-// (internal/dispatch), whose reconnect loop uses the same deterministic
-// schedule with the worker ID as key.
-func BackoffDelay(base, max time.Duration, seed uint64, key string, attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
 	// Clamp the exponential explicitly: base<<shift overflows int64
 	// around attempt 63 (and shifts ≥64 are undefined for the value
 	// range), so instead of shifting and testing the wrapped result,
-	// shift max down — base ≤ max>>shift implies base<<shift ≤ max with
-	// no possibility of overflow.
-	d := max
-	if shift := uint(attempt - 1); shift < 63 && base <= max>>shift {
+	// shift the cap down — base ≤ cap>>shift implies base<<shift ≤ cap
+	// with no possibility of overflow.
+	base, ceiling := opt.Backoff, opt.MaxBackoff
+	d := ceiling
+	if shift := uint(attempt - 1); shift < 63 && base <= ceiling>>shift {
 		d = base << shift
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s/%d", seed, key, attempt)
+	fmt.Fprintf(h, "%d/%s/%d", opt.Seed, hash, attempt)
 	frac := float64(h.Sum64()%1000) / 1000.0 // [0,1)
 	return time.Duration(float64(d) * (0.5 + frac))
 }
@@ -555,24 +527,4 @@ func BackoffDelay(base, max time.Duration, seed uint64, key string, attempt int)
 // build jobs from a map).
 func SortJobs(jobs []Job) {
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Name < jobs[j].Name })
-}
-
-// JobsHash is the fleet identity of a job list: the first 16 hex digits
-// of a SHA-256 over the sorted (name, spec-hash) pairs. A dispatch
-// supervisor and its remote workers exchange this during the handshake —
-// two processes agree on it exactly when they would resolve every job
-// name to the same spec, which is the precondition for handing attempts
-// across the wire by name.
-func JobsHash(jobs []Job) string {
-	entries := make([]string, len(jobs))
-	for i, j := range jobs {
-		entries[i] = j.Name + "\t" + j.Hash()
-	}
-	sort.Strings(entries)
-	h := sha256.New()
-	for _, e := range entries {
-		h.Write([]byte(e))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
 }

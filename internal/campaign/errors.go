@@ -27,12 +27,6 @@ const (
 	// drain); the job is neither completed nor failed and is re-queued by
 	// a later -resume.
 	ClassCanceled
-	// ClassSuperseded marks a zombie attempt under distributed dispatch:
-	// its lease expired, the job was re-leased (with a higher fencing
-	// token) and completed elsewhere, and this attempt's late result was
-	// rejected by token comparison. The job is already done — the class
-	// exists so the journal can record the discarded attempt distinctly.
-	ClassSuperseded
 )
 
 // String names the class for journal records and summaries.
@@ -44,8 +38,6 @@ func (c Class) String() string {
 		return "fatal"
 	case ClassCanceled:
 		return "canceled"
-	case ClassSuperseded:
-		return "superseded"
 	default:
 		return fmt.Sprintf("class(%d)", int(c))
 	}

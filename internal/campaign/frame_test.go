@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"camouflage/internal/obs"
@@ -123,27 +124,23 @@ func TestWriteFrameJSONRejectsOversizePayload(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTripGeneric exercises the exported generic codec with a
-// non-heartbeat payload type, as internal/dispatch uses it.
+// TestFrameRoundTripGeneric round-trips a heartbeat frame through the
+// generic writer and the heartbeat reader.
 func TestFrameRoundTripGeneric(t *testing.T) {
-	type envelope struct {
-		Type  string `json:"type"`
-		Fence uint64 `json:"fence"`
-	}
 	var buf bytes.Buffer
-	want := envelope{Type: "assign", Fence: 42}
+	want := HeartbeatFrame{Kind: FrameDone, Cycle: 42, RSS: 1 << 20, CkptSaveFails: 3}
 	if err := WriteFrameJSON(&buf, want); err != nil {
 		t.Fatalf("WriteFrameJSON: %v", err)
 	}
-	var got envelope
-	if err := ReadFrameJSON(&buf, &got); err != nil {
-		t.Fatalf("ReadFrameJSON: %v", err)
+	got, err := readFrame(&buf)
+	if err != nil {
+		t.Fatalf("readFrame: %v", err)
 	}
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip: got %+v want %+v", got, want)
 	}
 	// The stream is now empty: next read is a clean EOF.
-	if err := ReadFrameJSON(&buf, &got); err != io.EOF {
+	if _, err := readFrame(&buf); err != io.EOF {
 		t.Fatalf("post-frame read: want io.EOF, got %v", err)
 	}
 }

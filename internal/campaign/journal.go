@@ -44,24 +44,13 @@ type Record struct {
 	// Table is the rendered result for Status "done", stored so a resumed
 	// campaign can re-emit completed results without re-running them.
 	Table *harness.Table `json:"table,omitempty"`
-	// Fence is the fencing token of the attempt under distributed
-	// dispatch (0 for local execution). Each (job, attempt) lease carries
-	// a strictly increasing token; a journal must never hold two records
-	// with the same nonzero Fence.
-	Fence uint64 `json:"fence,omitempty"`
-	// Worker labels the remote worker that ran (or zombied) the attempt
-	// under distributed dispatch; empty for local execution.
-	Worker string `json:"worker,omitempty"`
 }
 
-// Journal terminal statuses. StatusSuperseded records a zombie attempt
-// whose late result was rejected by fencing-token comparison after the
-// job was re-leased and completed elsewhere; it is informational — Done
-// only consults StatusDone, so superseded records never affect resume.
+// Journal terminal statuses. Done only consults StatusDone, so a record
+// with any other status never affects resume.
 const (
-	StatusDone       = "done"
-	StatusFailed     = "failed"
-	StatusSuperseded = "superseded"
+	StatusDone   = "done"
+	StatusFailed = "failed"
 )
 
 // Journal is the append-only JSONL progress log. Every Append rewrites

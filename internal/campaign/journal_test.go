@@ -120,6 +120,64 @@ func TestJournalTornLastLine(t *testing.T) {
 	}
 }
 
+// fleetJournal is a journal as the earlier distributed dispatcher wrote
+// it for trivialJob("a"), ("b") and ("c"): a done record carrying the
+// attempt's fencing token and worker label, a superseded record for a
+// zombie attempt, and a plain failed record.
+const fleetJournal = `{"job":"a","hash":"0050014c251999f4","status":"done","attempts":1,"elapsed_ms":7,"table":{"Title":"a","Columns":["k","v"],"Rows":[["a","ok"]]},"fence":3,"worker":"w0"}
+{"job":"b","hash":"d2dfc6e48e8022c0","status":"superseded","attempts":1,"class":"superseded","error":"campaign: lease superseded (stale fencing token)","fence":2,"worker":"w1"}
+{"job":"c","hash":"a0298c79585de68d","status":"failed","attempts":3,"class":"transient","error":"boom","elapsed_ms":12}
+`
+
+// TestJournalLoadsFleetRecords pins backward compatibility: a journal
+// whose records carry the removed fence/worker fields and superseded
+// status still loads whole, and a resume serves only its done job.
+func TestJournalLoadsFleetRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(fleetJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jn, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jn.Len() != 3 || jn.Torn() != 0 {
+		t.Fatalf("loaded %d records (%d torn), want 3/0", jn.Len(), jn.Torn())
+	}
+	a, b, c := trivialJob("a"), trivialJob("b"), trivialJob("c")
+	done := jn.Done()
+	if _, ok := done[a.Hash()]; !ok || len(done) != 1 {
+		t.Fatalf("Done() = %v, want only %s", done, a.Hash())
+	}
+
+	// One pool worker runs the jobs in order; Run returns after it exits.
+	var ran []string
+	jobs := []Job{a, b, c}
+	for i := range jobs {
+		name, inner := jobs[i].Name, jobs[i].Run
+		jobs[i].Run = func(ctx context.Context, attempt int) (*harness.Table, error) {
+			ran = append(ran, name)
+			return inner(ctx, attempt)
+		}
+	}
+	opt := fastOpts()
+	opt.Journal = jn
+	opt.Resume = true
+	sum, err := Run(context.Background(), jobs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Resumed != 1 || sum.Completed != 2 {
+		t.Fatalf("summary %s, want 1 resumed + 2 completed", sum)
+	}
+	if res := sum.Results[0]; res.Status != Resumed || res.Table == nil || res.Table.Rows[0][1] != "ok" {
+		t.Fatalf("job a: status %s table %+v, want the journaled table", res.Status, res.Table)
+	}
+	if strings.Join(ran, ",") != "b,c" {
+		t.Fatalf("re-ran %v, want b and c", ran)
+	}
+}
+
 // TestJournalGarbageMidFile: corruption anywhere (not just the tail) is
 // dropped without losing the records around it.
 func TestJournalGarbageMidFile(t *testing.T) {

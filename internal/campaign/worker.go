@@ -119,8 +119,7 @@ const (
 // MaxFrameLen bounds one frame so a corrupt length prefix cannot make
 // the receiver allocate unboundedly. Sized for metric-delta payloads
 // from 512-core systems (thousands of instruments), not just the bare
-// liveness fields. The distributed dispatch transport (internal/dispatch)
-// reuses this bound — and the codec below — over TCP.
+// liveness fields.
 const MaxFrameLen = 1 << 22
 
 // Frame-decode error taxonomy. A reader must distinguish three shapes of
@@ -128,8 +127,8 @@ const MaxFrameLen = 1 << 22
 //
 //   - a clean io.EOF *between* frames is the peer exiting — normal;
 //   - ErrTornFrame (the stream ended mid-header or mid-payload) is a
-//     torn frame: the connection died mid-write, which on a network
-//     transport is transient and retryable after a reconnect;
+//     torn frame: the peer died mid-write, which is transient and
+//     retryable;
 //   - ErrFrameTooLarge (a length prefix of zero or beyond MaxFrameLen)
 //     is a protocol violation or corruption and is fatal: retrying
 //     replays the same bytes and fails identically.
@@ -159,54 +158,46 @@ func WriteFrameJSON(w io.Writer, v any) error {
 	return err
 }
 
-// ReadFrameJSON reads one length-prefixed JSON frame into v,
-// distinguishing a clean EOF between frames (io.EOF), a torn frame
-// mid-read (ErrTornFrame), and an out-of-range length prefix
-// (ErrFrameTooLarge). Match the latter two with errors.Is.
-func ReadFrameJSON(r io.Reader, v any) error {
+// readFrame reads one length-prefixed heartbeat frame, distinguishing a
+// clean EOF between frames (io.EOF), a torn frame mid-read
+// (ErrTornFrame), and an out-of-range length prefix (ErrFrameTooLarge).
+// Match the latter two with errors.Is.
+func readFrame(r io.Reader) (HeartbeatFrame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return io.EOF // clean: the peer closed between frames
+			return HeartbeatFrame{}, io.EOF // clean: the peer closed between frames
 		}
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: header truncated: %v", ErrTornFrame, err)
+			return HeartbeatFrame{}, fmt.Errorf("%w: header truncated: %v", ErrTornFrame, err)
 		}
-		return err
+		return HeartbeatFrame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 || n > MaxFrameLen {
-		return fmt.Errorf("%w: length %d, want 1..%d", ErrFrameTooLarge, n, MaxFrameLen)
+		return HeartbeatFrame{}, fmt.Errorf("%w: length %d, want 1..%d", ErrFrameTooLarge, n, MaxFrameLen)
 	}
 	payload := make([]byte, n)
 	if got, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: %d of %d payload bytes: %v", ErrTornFrame, got, n, err)
+			return HeartbeatFrame{}, fmt.Errorf("%w: %d of %d payload bytes: %v", ErrTornFrame, got, n, err)
 		}
-		return err
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("campaign: bad frame payload: %w", err)
-	}
-	return nil
-}
-
-// readFrame reads one length-prefixed heartbeat frame.
-func readFrame(r io.Reader) (HeartbeatFrame, error) {
-	var f HeartbeatFrame
-	if err := ReadFrameJSON(r, &f); err != nil {
 		return HeartbeatFrame{}, err
+	}
+	var f HeartbeatFrame
+	if err := json.Unmarshal(payload, &f); err != nil {
+		return HeartbeatFrame{}, fmt.Errorf("campaign: bad frame payload: %w", err)
 	}
 	return f, nil
 }
 
-// HeartbeatWriter emits heartbeat frames into a sink: the length-prefixed
-// fd-3 pipe of a process-isolated worker, or a fenced beat message on a
-// dispatch connection. Beat is shaped to plug straight into
-// core.WithHeartbeatFunc; grid frames are throttled to the configured
-// interval so a fast simulation does not flood the sink. All methods are
-// safe for concurrent use and degrade to no-ops once the sink fails (the
-// supervisor died; the worker finishes on its own).
+// HeartbeatWriter emits heartbeat frames into a sink, typically the
+// length-prefixed fd-3 pipe of a process-isolated worker. Beat is shaped
+// to plug straight into core.WithHeartbeatFunc; grid frames are
+// throttled to the configured interval so a fast simulation does not
+// flood the sink. All methods are safe for concurrent use and degrade
+// to no-ops once the sink fails (the supervisor died; the worker
+// finishes on its own).
 type HeartbeatWriter struct {
 	mu        sync.Mutex
 	sink      func(HeartbeatFrame) error
@@ -406,8 +397,7 @@ func ServeWorker(jobs []Job) int {
 }
 
 // Assignment is one job attempt as a worker receives it from its
-// supervisor, over either transport: the stdin request of a
-// process-isolated worker or the assign message of a dispatch worker.
+// supervisor's stdin request.
 type Assignment struct {
 	Name    string
 	Hash    string
@@ -433,8 +423,8 @@ var (
 	ErrSpecMismatch = errors.New("spec hash mismatch")
 )
 
-// ServeAttempt is the worker side of one attempt, shared by both
-// transports. It resolves the job by name and verifies its spec hash,
+// ServeAttempt is the worker side of one attempt, as ServeWorker runs
+// it for a stdin request. It resolves the job by name and verifies its spec hash,
 // threads the checkpoint directory and a HeartbeatWriter over sink into
 // the context, attaches a local registry and SLO monitor when metrics
 // are wanted, and runs the attempt with panic containment between a

@@ -14,6 +14,7 @@ import (
 
 	"camouflage/internal/cpu"
 	"camouflage/internal/dram"
+	"camouflage/internal/memctrl"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -213,8 +214,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: scheme %v requires a response shaper config", c.Scheme)
 		}
 	}
-	if c.Scheme == TP && c.TPTurnLength == 0 {
-		return fmt.Errorf("core: scheme TP requires TPTurnLength")
+	if dead := memctrl.TPDeadTime(); c.Scheme == TP && c.TPTurnLength < dead {
+		return fmt.Errorf("core: scheme TP requires TPTurnLength >= the %d-cycle dead time (got %d): no transaction could ever issue", dead, c.TPTurnLength)
 	}
 	if c.ReqShaperCfg != nil {
 		if err := c.ReqShaperCfg.Validate(); err != nil {

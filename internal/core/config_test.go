@@ -37,6 +37,20 @@ func TestConfigValidate(t *testing.T) {
 			c.Scheme = TP
 			c.TPTurnLength = 0
 		}, "TPTurnLength"},
+		// The TP dead time is 200 cycles: a 199-cycle turn can never
+		// issue, a 200-cycle turn issues at its first cycle.
+		{"tp turn below dead time", func(c *Config) {
+			c.Scheme = TP
+			c.TPTurnLength = 199
+		}, "dead time"},
+		{"tp turn equal to dead time", func(c *Config) {
+			c.Scheme = TP
+			c.TPTurnLength = 200
+		}, ""},
+		{"tp turn above dead time", func(c *Config) {
+			c.Scheme = TP
+			c.TPTurnLength = 201
+		}, ""},
 		{"invalid req shaper config", func(c *Config) {
 			sc := shaperCfg.Clone()
 			sc.Window = 0

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 
 	"camouflage/internal/core"
 	"camouflage/internal/mem"
@@ -64,20 +65,16 @@ func BDCComparison(ctx context.Context, victim string, useGA bool, cycles sim.Cy
 		row := BDCRow{Adversary: adv}
 
 		names := []string{adv, victim, victim, victim}
-		avgSlowdown := func(rs runStats) (float64, error) {
-			var sum float64
-			for i, n := range names {
-				sv, err := soloFor(n)
-				if err != nil {
-					return 0, err
-				}
-				ipc := rs.ipc(i)
-				if ipc <= 0 {
-					return 0, nil
-				}
-				sum += sv / ipc
+		solos := make([]float64, len(names))
+		for i, n := range names {
+			sv, err := soloFor(n)
+			if err != nil {
+				return nil, err
 			}
-			return sum / float64(len(names)), nil
+			solos[i] = sv
+		}
+		avg := func(scheme string, rs runStats) (float64, error) {
+			return avgSlowdown(scheme, adv, names, solos, rs)
 		}
 
 		// Temporal Partitioning.
@@ -88,7 +85,7 @@ func BDCComparison(ctx context.Context, victim string, useGA bool, cycles sim.Cy
 		if err != nil {
 			return nil, err
 		}
-		if row.TP, err = avgSlowdown(rs); err != nil {
+		if row.TP, err = avg("TP", rs); err != nil {
 			return nil, err
 		}
 
@@ -101,7 +98,7 @@ func BDCComparison(ctx context.Context, victim string, useGA bool, cycles sim.Cy
 		if err != nil {
 			return nil, err
 		}
-		if row.FS, err = avgSlowdown(rs); err != nil {
+		if row.FS, err = avg("FS", rs); err != nil {
 			return nil, err
 		}
 
@@ -114,7 +111,7 @@ func BDCComparison(ctx context.Context, victim string, useGA bool, cycles sim.Cy
 		if err != nil {
 			return nil, err
 		}
-		if row.BDC, err = avgSlowdown(rs); err != nil {
+		if row.BDC, err = avg("BDC", rs); err != nil {
 			return nil, err
 		}
 
@@ -127,6 +124,23 @@ func BDCComparison(ctx context.Context, victim string, useGA bool, cycles sim.Cy
 	res.GeoMeanFS = stats.GeoMean(fss)
 	res.GeoMeanBDC = stats.GeoMean(bdcs)
 	return res, nil
+}
+
+// avgSlowdown is one Figure 13 workload's average program slowdown
+// under scheme: the mean over its cores of solo IPC / shared IPC. A core
+// with no shared IPC has no defined slowdown; it is an error naming the
+// scheme, adversary and core, never a 0 that would drag the geomean and
+// the headline down.
+func avgSlowdown(scheme, adv string, names []string, solo []float64, rs runStats) (float64, error) {
+	var sum float64
+	for i, n := range names {
+		ipc := rs.ipc(i)
+		if ipc <= 0 {
+			return 0, fmt.Errorf("fig13 %s: adversary %s: core %d (%s) has IPC %g, slowdown undefined", scheme, adv, i, n, ipc)
+		}
+		sum += solo[i] / ipc
+	}
+	return sum / float64(len(names)), nil
 }
 
 // runWorkload builds and measures one w(adversary, victim) system.

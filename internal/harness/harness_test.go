@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"camouflage/internal/cpu"
 )
 
 func TestWorkloadShape(t *testing.T) {
@@ -18,6 +20,23 @@ func TestWorkloadShape(t *testing.T) {
 	}
 	if _, err := Workload("gcc", "nope", 1); err == nil {
 		t.Fatal("unknown victim accepted")
+	}
+}
+
+// TestAvgSlowdownRejectsZeroIPC: a Figure 13 core that retired nothing
+// is an error naming the adversary and core, not a 0 slowdown.
+func TestAvgSlowdownRejectsZeroIPC(t *testing.T) {
+	names := []string{"gcc", "mcf", "mcf", "mcf"}
+	solo := []float64{1, 1, 1, 1}
+	rs := runStats{perCore: []cpu.Stats{{Work: 50}, {Work: 50}, {Work: 0}, {Work: 50}}, cycles: 100}
+	_, err := avgSlowdown("TP", "gcc", names, solo, rs)
+	if err == nil || !strings.Contains(err.Error(), "adversary gcc") || !strings.Contains(err.Error(), "core 2") {
+		t.Fatalf("zero-IPC core: err = %v, want one naming adversary gcc and core 2", err)
+	}
+	rs.perCore[2].Work = 25
+	got, err := avgSlowdown("TP", "gcc", names, solo, rs)
+	if err != nil || got != 2.5 {
+		t.Fatalf("avgSlowdown = %v, %v; want 2.5 (mean of 2, 2, 4, 2)", got, err)
 	}
 }
 

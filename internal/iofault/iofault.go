@@ -159,23 +159,13 @@ type Options struct {
 	// ConnWriteFail is the probability an accepted connection's write
 	// fails mid-response.
 	ConnWriteFail float64
-	// Partition is the probability a connection is partitioned: after a
-	// seed-chosen number of bytes (1..PartitionBytes, drawn per
-	// connection) have crossed it in either direction, the connection is
-	// hard-closed — the next read or write fails mid-frame with
-	// ECONNRESET, exactly what a mid-stream network partition looks like
-	// to each endpoint.
-	Partition float64
-	// PartitionBytes bounds the per-connection byte budget drawn for
-	// partitioned connections (0 selects DefaultPartitionBytes).
-	PartitionBytes uint64
 }
 
 // Enabled reports whether any fault class is active.
 func (o Options) Enabled() bool {
 	return o.WriteFail > 0 || o.TornWrite > 0 || o.SyncFail > 0 || o.RenameFail > 0 ||
 		o.ReadFail > 0 || o.CorruptRead > 0 || o.Slow > 0 || o.AcceptFail > 0 ||
-		o.ConnWriteFail > 0 || o.Partition > 0
+		o.ConnWriteFail > 0
 }
 
 // String renders the options in ParseSpec syntax.
@@ -197,13 +187,6 @@ func (o Options) String() string {
 	}
 	add("accept", o.AcceptFail)
 	add("connwrite", o.ConnWriteFail)
-	if o.Partition > 0 {
-		if o.PartitionBytes > 0 && o.PartitionBytes != DefaultPartitionBytes {
-			parts = append(parts, fmt.Sprintf("partition=%g:%d", o.Partition, o.PartitionBytes))
-		} else {
-			parts = append(parts, fmt.Sprintf("partition=%g", o.Partition))
-		}
-	}
 	if len(parts) == 0 {
 		return "none"
 	}
@@ -236,22 +219,6 @@ func ParseSpec(spec string) (Options, error) {
 				return Options{}, fmt.Errorf("iofault: seed wants an unsigned integer, got %q", val)
 			}
 			o.Seed = n
-			continue
-		}
-		if key == "partition" {
-			probStr, bytesStr, hasBytes := strings.Cut(val, ":")
-			p, err := parseProb("partition", probStr)
-			if err != nil {
-				return Options{}, err
-			}
-			o.Partition = p
-			if hasBytes {
-				n, err := strconv.ParseUint(bytesStr, 10, 64)
-				if err != nil || n == 0 {
-					return Options{}, fmt.Errorf("iofault: partition wants prob[:bytes], got %q", val)
-				}
-				o.PartitionBytes = n
-			}
 			continue
 		}
 		if key == "slow" {
@@ -310,12 +277,6 @@ func parseProb(key, val string) (float64, error) {
 // does not name one.
 const DefaultSlowDelay = 2 * time.Millisecond
 
-// DefaultPartitionBytes is the byte-budget bound for partitioned
-// connections when the spec does not name one: small enough that a
-// partition lands within the handshake or the first few frames of a
-// dispatch conversation.
-const DefaultPartitionBytes = 4096
-
 // Stats counts injected faults per class.
 type Stats struct {
 	WriteFails  uint64
@@ -327,7 +288,6 @@ type Stats struct {
 	Slowed      uint64
 	AcceptFails uint64
 	ConnFails   uint64
-	Partitions  uint64
 	// Ops counts every intercepted operation, injected or not.
 	Ops uint64
 }
@@ -335,13 +295,13 @@ type Stats struct {
 // Total sums the injected-fault counts.
 func (s Stats) Total() uint64 {
 	return s.WriteFails + s.TornWrites + s.SyncFails + s.RenameFails +
-		s.ReadFails + s.Corrupted + s.Slowed + s.AcceptFails + s.ConnFails + s.Partitions
+		s.ReadFails + s.Corrupted + s.Slowed + s.AcceptFails + s.ConnFails
 }
 
 // String renders a one-line summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("ops %d: write-fail %d torn %d sync-fail %d rename-fail %d read-fail %d corrupt %d slow %d accept-fail %d conn-fail %d partition %d",
-		s.Ops, s.WriteFails, s.TornWrites, s.SyncFails, s.RenameFails, s.ReadFails, s.Corrupted, s.Slowed, s.AcceptFails, s.ConnFails, s.Partitions)
+	return fmt.Sprintf("ops %d: write-fail %d torn %d sync-fail %d rename-fail %d read-fail %d corrupt %d slow %d accept-fail %d conn-fail %d",
+		s.Ops, s.WriteFails, s.TornWrites, s.SyncFails, s.RenameFails, s.ReadFails, s.Corrupted, s.Slowed, s.AcceptFails, s.ConnFails)
 }
 
 // Injector is an FS (and listener wrapper) that injects faults per a
@@ -536,7 +496,7 @@ func (f *faultFile) Sync() error {
 	return f.File.Sync()
 }
 
-// WrapListener wraps ln with accept/connection-write/partition fault
+// WrapListener wraps ln with accept and connection-write fault
 // injection. A nil injector (or one with no listener fault classes)
 // returns ln unchanged.
 func (in *Injector) WrapListener(ln net.Listener) net.Listener {
@@ -544,7 +504,7 @@ func (in *Injector) WrapListener(ln net.Listener) net.Listener {
 		return ln
 	}
 	o := in.Options()
-	if o.AcceptFail <= 0 && o.ConnWriteFail <= 0 && o.Partition <= 0 {
+	if o.AcceptFail <= 0 && o.ConnWriteFail <= 0 {
 		return ln
 	}
 	return &faultListener{Listener: ln, in: in}
@@ -567,107 +527,24 @@ func (l *faultListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return c, err
 	}
-	return l.in.WrapConn(c), nil
+	return l.in.wrapConn(c), nil
 }
 
-// WrapConn wraps one connection with write-fail and partition fault
-// injection. Dial-side consumers (a remote worker injecting its own
-// network chaos) use this directly; WrapListener applies it to every
-// accepted connection. Whether this connection partitions — and after
-// how many bytes — is drawn once here, so the schedule stays a pure
-// function of (seed, op index) regardless of subsequent traffic timing.
-func (in *Injector) WrapConn(c net.Conn) net.Conn {
-	if in == nil {
-		return c
-	}
-	fc := &faultConn{Conn: c, in: in}
-	if in.draw(in.opt.Partition, nil) {
-		in.mu.Lock()
-		in.state++
-		bound := in.opt.PartitionBytes
-		if bound == 0 {
-			bound = DefaultPartitionBytes
-		}
-		fc.budget = 1 + splitmix64(in.state)%bound
-		in.mu.Unlock()
-		fc.partitioned = true
-	}
-	return fc
+// wrapConn wraps one accepted connection with write-fail injection.
+func (in *Injector) wrapConn(c net.Conn) net.Conn {
+	return &faultConn{Conn: c, in: in}
 }
 
 type faultConn struct {
 	net.Conn
 	in *Injector
-
-	// partitioned connections hard-close after budget bytes cross in
-	// either direction; counted and budget guarded by cmu.
-	partitioned bool
-	cmu         sync.Mutex
-	counted     uint64
-	budget      uint64
-	tripped     bool
 }
 
-// account charges n transferred bytes against a partitioned connection's
-// budget and reports whether the partition fires now.
-func (c *faultConn) account(n int) bool {
-	if !c.partitioned {
-		return false
-	}
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	if c.tripped {
-		return true
-	}
-	c.counted += uint64(n)
-	if c.counted >= c.budget {
-		c.tripped = true
-		c.in.mu.Lock()
-		c.in.stats.Partitions++
-		c.in.mu.Unlock()
-		return true
-	}
-	return false
-}
-
-// dead reports whether the partition already fired.
-func (c *faultConn) dead() bool {
-	if !c.partitioned {
-		return false
-	}
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	return c.tripped
-}
-
-// Read charges the partition budget; once it trips, the connection is
-// closed and reads fail as a reset mid-stream.
-func (c *faultConn) Read(p []byte) (int, error) {
-	if c.dead() {
-		return 0, injectedf("conn read: %v", syscall.ECONNRESET)
-	}
-	n, err := c.Conn.Read(p)
-	if n > 0 && c.account(n) {
-		c.Conn.Close()
-		return n, injectedf("conn partitioned after %d bytes: %v", c.counted, syscall.ECONNRESET)
-	}
-	return n, err
-}
-
-// Write injects mid-response connection failures and charges the
-// partition budget.
+// Write injects mid-response connection failures.
 func (c *faultConn) Write(p []byte) (int, error) {
-	if c.dead() {
-		return 0, injectedf("conn write: %v", syscall.ECONNRESET)
-	}
 	if c.in.draw(c.in.opt.ConnWriteFail, func(s *Stats) { s.ConnFails++ }) {
 		c.Conn.Close()
 		return 0, injectedf("conn write: %v", syscall.ECONNRESET)
 	}
-	n, err := c.Conn.Write(p)
-	if n > 0 && c.account(n) {
-		c.Conn.Close()
-		return n, injectedf("conn partitioned after %d bytes: %v", c.counted, syscall.ECONNRESET)
-	}
-	return n, err
+	return c.Conn.Write(p)
 }

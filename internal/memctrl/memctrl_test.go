@@ -182,6 +182,26 @@ func TestTPDeadTimeBlocksIssue(t *testing.T) {
 	}
 }
 
+// TestTPTurnAtDeadTimeIssuesAtTurnStart pins the shortest turn
+// core.Config.Validate accepts: a turn exactly TPDeadTime long issues
+// only at its first cycle.
+func TestTPTurnAtDeadTimeIssuesAtTurnStart(t *testing.T) {
+	turn := TPDeadTime()
+	tp := NewTemporalPartitioning(turn, 4)
+	c, ch := testSetup(tp, false)
+	s := &sink{}
+	c.SetEgress(0, s)
+	// Cycle 1 is already past domain 0's only issue cycle this turn.
+	c.TrySend(1, req(1, 0, 0))
+	runTicks(c, ch, 1, 4*turn+1000)
+	if len(s.got) != 1 {
+		t.Fatal("request never serviced")
+	}
+	if got := s.got[0].IssuedDRAM; got != 4*turn {
+		t.Fatalf("issued at %d, want %d (first cycle of domain 0's next turn)", got, 4*turn)
+	}
+}
+
 func TestFSOneIssuePerSlot(t *testing.T) {
 	fs := NewFixedService(4)
 	c, ch := testSetup(fs, true)

@@ -69,13 +69,21 @@ type TemporalPartitioning struct {
 	Domains int
 }
 
+// TPDeadTime is the dead time of every TP turn: a worst-case DDR3-1333
+// row conflict (tRAS+tRP+tRCD+tCAS+tBurst, 200 cycles). A transaction
+// may issue only where the rest of its turn still covers it, so the
+// first cycle of a turn is the last chance for a turn of exactly this
+// length, and a shorter turn never issues at all.
+func TPDeadTime() sim.Cycle {
+	t := dram.DDR3_1333()
+	return t.TRAS + t.TRP + t.TRCD + t.TCAS + t.TBurst
+}
+
 // NewTemporalPartitioning returns a TP scheduler with the paper-typical
 // shape: turn length in cycles, dead time covering a worst-case row
-// conflict, and one domain per core.
+// conflict (TPDeadTime), and one domain per core.
 func NewTemporalPartitioning(turn sim.Cycle, domains int) *TemporalPartitioning {
-	t := dram.DDR3_1333()
-	dead := t.TRAS + t.TRP + t.TRCD + t.TCAS + t.TBurst
-	return &TemporalPartitioning{TurnLength: turn, DeadTime: dead, Domains: domains}
+	return &TemporalPartitioning{TurnLength: turn, DeadTime: TPDeadTime(), Domains: domains}
 }
 
 // Name implements Scheduler.

@@ -2,11 +2,9 @@
 // figure of the paper's evaluation, expressed as campaign jobs. It
 // exists as a package (rather than private helpers in cmd/experiments)
 // so that every binary that must agree on the job list — the
-// experiments supervisor, its re-exec'd process workers, and remote
-// cmd/camworker fleet members — builds it from the same code. The
-// distributed handshake authenticates with campaign.JobsHash over this
-// list; two binaries built from the same tree with the same parameters
-// therefore land on the same fleet hash.
+// experiments supervisor and its re-exec'd process workers — builds it
+// from the same code: two binaries built from the same tree with the
+// same parameters land on the same job names and spec hashes.
 package suite
 
 import (
@@ -50,10 +48,9 @@ func (e Experiment) Table(tables []*harness.Table) (*harness.Table, error) {
 	return merged, nil
 }
 
-// Params are the knobs that shape job specs. Every binary in a fleet
-// must build the suite from identical Params or the fleet hashes (and
-// the per-job spec hashes behind them) diverge and the handshake is
-// refused.
+// Params are the knobs that shape job specs. A process-isolated worker
+// must build the suite from its supervisor's Params, or the spec hashes
+// diverge and the worker refuses the assignment.
 type Params struct {
 	Cycles    sim.Cycle
 	Seed      uint64

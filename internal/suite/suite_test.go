@@ -77,12 +77,20 @@ func TestSelectHeadlineRunsFig12AndFig13Jobs(t *testing.T) {
 	}
 }
 
-func TestJobsHashStableAcrossBuilds(t *testing.T) {
+// TestJobsStableAcrossBuilds pins what a process-isolated worker relies
+// on: two Builds from the same Params yield the same job names and spec
+// hashes, in the same order.
+func TestJobsStableAcrossBuilds(t *testing.T) {
+	ids := func(useGA bool) []string {
+		var out []string
+		for _, j := range Jobs(Build(params(useGA))) {
+			out = append(out, j.Name+"\t"+j.Hash())
+		}
+		return out
+	}
 	for _, useGA := range []bool{false, true} {
-		a := campaign.JobsHash(Jobs(Build(params(useGA))))
-		b := campaign.JobsHash(Jobs(Build(params(useGA))))
-		if a != b {
-			t.Errorf("ga=%t: JobsHash %s then %s", useGA, a, b)
+		if a, b := ids(useGA), ids(useGA); !reflect.DeepEqual(a, b) {
+			t.Errorf("ga=%t: jobs %v then %v", useGA, a, b)
 		}
 	}
 }

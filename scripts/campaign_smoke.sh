@@ -3,9 +3,10 @@
 # completion, then resume and require (a) completion, (b) that the resume
 # actually served journal records instead of re-running everything, and
 # (c) that the resumed output is byte-identical to an uninterrupted run.
-# Finally (d) a second resume serves every job from the journal, so the
+# Then (d) a second resume serves every job from the journal, so the
 # derived headline table is computed from journaled fig12/fig13 tables
-# alone and must still match byte for byte.
+# alone and must still match byte for byte. Finally (e) obscheck
+# validates the journal's record schema.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -27,6 +28,7 @@ trap cleanup EXIT
 
 bin="$workdir/experiments"
 go build -o "$bin" ./cmd/experiments
+go build -o "$workdir/obscheck" ./cmd/obscheck
 
 # Cheap experiments only, tiny cycle counts, serialized so the SIGINT
 # lands with jobs still pending. headline adds its three jobs (fig12,
@@ -97,6 +99,10 @@ grep -q "resumed $total" "$workdir/replayed.err" || {
 }
 diff "$workdir/reference.txt" "$workdir/replayed.txt" || {
   echo "campaign-smoke: output replayed from the journal differs from the uninterrupted run" >&2
+  exit 1
+}
+"$workdir/obscheck" -journal "$journal" || {
+  echo "campaign-smoke: journal failed obscheck's schema validation" >&2
   exit 1
 }
 echo "campaign-smoke: PASS (resume completed $((total - recorded)) remaining jobs, output identical; full journal replay identical)"

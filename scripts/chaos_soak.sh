@@ -3,7 +3,8 @@
 # injected disk faults and at-rest checkpoint corruption, resuming every
 # time and byte-comparing the final report against a clean reference,
 # plus the in-process degradation suite (dead checkpoint disk, failing
-# journal, dying obs accept loop) with goroutine-leak and heap-growth
+# journal, dying obs accept loop), a process-isolated campaign whose
+# worker SIGKILLs itself mid-job, and goroutine-leak and heap-growth
 # checks per iteration. See cmd/chaossoak.
 #
 # Knobs (env):
