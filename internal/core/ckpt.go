@@ -244,6 +244,7 @@ func restoreOptional(d *ckpt.Decoder, what string, live bool, st ckpt.Stater) er
 // supervision boundary. extras are caller-owned staters serialized after
 // the system — pass the same set, in the same order, to RestoreState.
 func (s *System) CheckpointBytes(extras ...ckpt.Stater) (ckpt.Header, []byte, error) {
+	s.Kernel.Sync()
 	var e ckpt.Encoder
 	s.snapshot(&e, extras)
 	h := ckpt.Header{

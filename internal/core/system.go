@@ -210,28 +210,34 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 	// Tick order fixes the intra-cycle pipeline: cores produce, request
 	// shapers release, the request channel moves, DRAM state advances
 	// (refresh), the controller issues and retires, response shapers
-	// release, the response channel delivers.
+	// release, the response channel delivers. Each component's wake
+	// handle reads s.Kernel when called, so it follows the system onto
+	// a kernel that re-registers the components in this order.
+	register := func(c interface {
+		sim.Tickable
+		SetWake(sim.WakeHandle)
+	}) {
+		c.SetWake(sim.NewWakeHandle(&s.Kernel, s.Kernel.Register(c)))
+	}
 	for _, c := range s.Cores {
-		s.Kernel.Register(c)
+		register(c)
 	}
 	for _, sh := range s.ReqShapers {
 		if sh != nil {
-			s.Kernel.Register(sh)
+			register(sh)
 		}
 	}
-	s.Kernel.Register(s.ReqNet)
+	register(s.ReqNet)
 	for ch := range s.Channels {
-		// Registered directly (not through a TickFunc wrapper) so the
-		// channel's NextWake hint is visible to the kernel's fast path.
-		s.Kernel.Register(s.Channels[ch])
-		s.Kernel.Register(s.MCs[ch])
+		register(s.Channels[ch])
+		register(s.MCs[ch])
 	}
 	for _, sh := range s.RespShapers {
 		if sh != nil {
-			s.Kernel.Register(sh)
+			register(sh)
 		}
 	}
-	s.Kernel.Register(s.RespNet)
+	register(s.RespNet)
 	return s, nil
 }
 
@@ -400,7 +406,8 @@ func (s *System) runSupervised(ctx context.Context, n sim.Cycle, pred func() boo
 	start := time.Now()
 	// Supervision points sit on a fixed grid of absolute cycles
 	// (startCycle, startCycle+Stride, ...). The kernel's fast path never
-	// jumps past the next grid point, so auto-checkpoints land on the
+	// jumps past the next grid point, and the kernel syncs every lagging
+	// component before grid-point work, so auto-checkpoints land on the
 	// same cycles — with byte-identical state — whether the run skipped
 	// idle spans or stepped every cycle.
 	startCycle := s.Kernel.Now()
@@ -410,6 +417,7 @@ func (s *System) runSupervised(ctx context.Context, n sim.Cycle, pred func() boo
 	// every grid point and additionally on a wall-clock tick between
 	// them, so a stride that is slow in real time is still cancelable.
 	abort := func() error {
+		s.Kernel.Sync()
 		now := s.Kernel.Now()
 		ran := now - startCycle
 		if cerr := ctx.Err(); cerr != nil {
@@ -451,6 +459,7 @@ func (s *System) runSupervised(ctx context.Context, n sim.Cycle, pred func() boo
 				return done, aerr
 			}
 			lastPoll = time.Now()
+			// abort synced the kernel: every component is current.
 			s.maybeCheckpoint()
 			if s.obsScope != nil {
 				s.obsScope.Publish()
@@ -509,6 +518,7 @@ func (s *System) runSupervised(ctx context.Context, n sim.Cycle, pred func() boo
 			lastPoll = time.Now()
 		}
 	}
+	s.Kernel.Sync()
 	if pred != nil && !done {
 		done = pred()
 	}

@@ -98,6 +98,10 @@ type Core struct {
 
 	stats Stats
 
+	// wake re-arms the core in its kernel's schedule before a response
+	// lands (see sim.WakeHandle).
+	wake sim.WakeHandle
+
 	// OnResponse, when set, observes every real response delivered to
 	// this core (the adversary's response-latency probe).
 	OnResponse func(now sim.Cycle, resp *mem.Request)
@@ -132,6 +136,11 @@ func (c *Core) ID() int { return c.id }
 // input or the NoC injection queue).
 func (c *Core) SetOut(out mem.ReqPort) { c.out = out }
 
+// SetWake installs the core's handle on its kernel slot. TrySend calls
+// it before delivering, so a core parked on a blocking load is ticked
+// again from the cycle after the response.
+func (c *Core) SetWake(w sim.WakeHandle) { c.wake = w }
+
 // Cache exposes the core's LLC for statistics.
 func (c *Core) Cache() *cache.Cache { return c.cache }
 
@@ -164,6 +173,7 @@ func (c *Core) Finished() bool { return c.finished }
 // TrySend implements mem.RespPort: the response network delivers here.
 // The core endpoint always accepts.
 func (c *Core) TrySend(now sim.Cycle, resp *mem.Request) bool {
+	c.wake.Wake()
 	resp.DeliveredAt = now
 	if c.OnDelivered != nil {
 		c.OnDelivered(now, resp)
@@ -191,11 +201,10 @@ func (c *Core) TrySend(now sim.Cycle, resp *mem.Request) bool {
 // interesting cycle exactly in two long-lived states: a compute phase
 // (nothing happens until the countdown ends) and a fully drained,
 // finished trace (nothing ever happens again). A blocking load in
-// flight also parks the core — the response network's own wake covers
-// the delivery cycle, and the cycles in between are pure stall
-// accounting. Anything touching a downstream port (held miss, pending
-// writebacks) must retry every cycle because acceptance depends on
-// another component's state.
+// flight also parks the core — the response's delivery (TrySend) wakes
+// it, and the cycles in between are pure stall accounting. Anything
+// touching a downstream port (held miss, pending writebacks) must retry
+// every cycle because acceptance depends on another component's state.
 func (c *Core) NextWake(now sim.Cycle) sim.Cycle {
 	if c.heldMiss != nil || len(c.pendingWB) > 0 {
 		return now + 1

@@ -40,6 +40,10 @@ type Channel struct {
 
 	observer Observer
 
+	// wake re-arms the channel in its kernel's schedule before Issue or
+	// Complete changes it (see sim.WakeHandle).
+	wake sim.WakeHandle
+
 	stats ChannelStats
 }
 
@@ -138,6 +142,12 @@ func (c *Channel) Stats() ChannelStats { return c.stats }
 // row closed.
 func (c *Channel) SetClosedPage(on bool) { c.closedPage = on }
 
+// SetWake installs the channel's handle on its kernel slot. Issue and
+// Complete call it first, so the channel's next Tick clears the command
+// latch Issue sets, and a refresh blocked on a busy bank retries as soon
+// as the bank frees.
+func (c *Channel) SetWake(w sim.WakeHandle) { c.wake = w }
+
 // AddrMap returns the channel's address map.
 func (c *Channel) AddrMap() *AddrMap { return c.amap }
 
@@ -154,8 +164,8 @@ func (c *Channel) SetObserver(o Observer) { c.observer = o }
 // deadline, or never when refresh is disabled — between refreshes the
 // channel's tick only refreshes the one-command-per-cycle latch, which
 // Skip reproduces. A refresh already due but blocked by an in-flight
-// bank retries every cycle (and the controller owning that bank keeps
-// the kernel stepping anyway).
+// bank retries every cycle. Issue and Complete wake the channel, so the
+// cycle after a command, where the latch clears, is always ticked.
 func (c *Channel) NextWake(now sim.Cycle) sim.Cycle {
 	if c.timing.TREFI == 0 {
 		return sim.NeverWake
@@ -334,6 +344,7 @@ func (c *Channel) EarliestDemandIssue(now sim.Cycle, demand []int32) (bool, sim.
 // must have checked CanIssue. Issue also updates row-buffer state, the
 // tFAW/tRRD activate window and data bus occupancy.
 func (c *Channel) Issue(now sim.Cycle, req *mem.Request) sim.Cycle {
+	c.wake.Wake()
 	loc := c.amap.DecodeReq(req)
 	rk := &c.ranks[loc.Rank]
 	b := &rk.banks[loc.Bank]
@@ -451,6 +462,7 @@ func (c *Channel) Issue(now sim.Cycle, req *mem.Request) sim.Cycle {
 // Complete marks req's bank free for its next transaction. The controller
 // calls it when the data burst has finished (the cycle returned by Issue).
 func (c *Channel) Complete(req *mem.Request) {
+	c.wake.Wake()
 	loc := c.amap.DecodeReq(req)
 	c.ranks[loc.Rank].banks[loc.Bank].inflight = false
 }

@@ -126,6 +126,9 @@ type Queue struct {
 	head  int        // index of the oldest element
 	count int
 	cap   int // admission bound; 0 means unbounded
+	// wake re-arms the queue's consumer before TrySend enqueues (see
+	// sim.WakeHandle); the zero handle does nothing.
+	wake sim.WakeHandle
 }
 
 // NewQueue returns a queue holding at most capacity requests; capacity 0
@@ -133,6 +136,10 @@ type Queue struct {
 func NewQueue(capacity int) *Queue {
 	return &Queue{cap: capacity}
 }
+
+// SetWake installs the handle TrySend calls before enqueueing: the
+// consumer's slot in the kernel schedule.
+func (q *Queue) SetWake(w sim.WakeHandle) { q.wake = w }
 
 // Len returns the number of queued requests.
 func (q *Queue) Len() int { return q.count }
@@ -209,8 +216,15 @@ func (q *Queue) ForEach(fn func(*Request)) {
 	}
 }
 
-// TrySend implements ReqPort and RespPort by enqueueing.
-func (q *Queue) TrySend(_ sim.Cycle, req *Request) bool { return q.Push(req) }
+// TrySend implements ReqPort and RespPort by enqueueing, waking the
+// consumer first.
+func (q *Queue) TrySend(_ sim.Cycle, req *Request) bool {
+	if q.Full() {
+		return false
+	}
+	q.wake.Wake()
+	return q.Push(req)
+}
 
 // DelayPipe models a fixed-latency conduit (a NoC hop, a wire). Items
 // pushed at cycle t become visible at t+latency and drain in FIFO order

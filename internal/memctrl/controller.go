@@ -41,6 +41,9 @@ type Controller struct {
 	// events ride in the kernel's own snapshot.
 	kernel  *sim.Kernel
 	handler sim.HandlerID
+	// wake re-arms the controller in its kernel's schedule before an
+	// arrival lands (see sim.WakeHandle).
+	wake sim.WakeHandle
 
 	stats ControllerStats
 	// accounted is the cycle through which Cycles/QueueOccupancySum have
@@ -80,6 +83,13 @@ func (c *Controller) AttachKernel(k *sim.Kernel) {
 	c.kernel = k
 	c.handler = k.RegisterHandler(c)
 }
+
+// SetWake installs the controller's handle on its kernel slot. TrySend
+// calls it before queueing, so an idle controller is ticked again from
+// the arrival's cycle on. Elevate and priority expiry need no wake: they
+// only matter to a scheduler scan, which runs only while the queue is
+// non-empty — and then the controller is due every cycle anyway.
+func (c *Controller) SetWake(w sim.WakeHandle) { c.wake = w }
 
 // HandleEvent implements sim.EventHandler. A stale expiry (the core was
 // re-elevated to a later deadline after this event was scheduled) is
@@ -214,6 +224,7 @@ func (c *Controller) ForEachRequest(fn func(*mem.Request)) {
 // TrySend implements mem.ReqPort: the request NoC delivers transactions
 // here. It returns false when the transaction queue is full.
 func (c *Controller) TrySend(now sim.Cycle, req *mem.Request) bool {
+	c.wake.Wake()
 	if len(c.queue) >= c.depth {
 		c.stats.Rejected++
 		return false

@@ -106,6 +106,14 @@ func (l *Link) Name() string { return l.name }
 // is the backpressure that stalls the sender.
 func (l *Link) Input(core int) *mem.Queue { return l.inputs[core] }
 
+// SetWake installs the link's handle on its kernel slot: every input
+// queue calls it before a sender's TrySend enqueues.
+func (l *Link) SetWake(w sim.WakeHandle) {
+	for _, q := range l.inputs {
+		q.SetWake(w)
+	}
+}
+
 // SetRoute installs the delivery function mapping a transaction to its
 // destination port. For the request link this is constant (the memory
 // controller); for the response link it demultiplexes on req.Core.
@@ -148,8 +156,8 @@ func (l *Link) Stats() LinkStats {
 // NextWake implements sim.NextWaker. Anything queued at an input wants
 // arbitration next cycle; an in-flight pipe wakes when its head matures
 // (a mature head that could not deliver retries every cycle). An empty
-// link only acts when a sender injects, and that sender's own wake
-// covers the cycle.
+// link only acts when a sender injects, and the input queue's TrySend
+// wakes it.
 func (l *Link) NextWake(now sim.Cycle) sim.Cycle {
 	for _, q := range l.inputs {
 		if q.Len() > 0 {
@@ -166,13 +174,22 @@ func (l *Link) NextWake(now sim.Cycle) sim.Cycle {
 }
 
 // Skip implements sim.Skipper: an idle tick still rotates the
-// round-robin pointer, so a skipped span must rotate it by the span
-// length to keep fast-path state (and checkpoints) byte-identical to a
-// stepped run.
+// round-robin pointer, and with the pipe at capacity it counts a stall
+// cycle (the arbiter refuses before it looks at the empty inputs), so a
+// skipped span must do both by the span length to keep fast-path state
+// (and checkpoints) byte-identical to a stepped run.
 func (l *Link) Skip(from, to sim.Cycle) {
+	span := to - from + 1
+	if l.pipe.Len() >= l.capacity() {
+		l.stats.StallCycles += uint64(span)
+	}
 	n := len(l.inputs)
-	l.rr = (l.rr + int((to-from+1)%sim.Cycle(n))) % n
+	l.rr = (l.rr + int(span%sim.Cycle(n))) % n
 }
+
+// capacity is the most transfers the pipe holds before the arbiter
+// stops granting.
+func (l *Link) capacity() int { return int(l.latency+1) * l.width }
 
 // Tick advances the link one cycle: deliver matured transactions (in
 // order, stopping at backpressure), then arbitrate new injections
@@ -200,7 +217,7 @@ func (l *Link) Tick(now sim.Cycle) {
 	// granting — the backpressure a real shared channel asserts —
 	// instead of buffering unboundedly inside the wires. A stall-free
 	// link never reaches the bound, so uncongested runs are unaffected.
-	capacity := int(l.latency+1) * l.width
+	capacity := l.capacity()
 	granted := 0
 	n := len(l.inputs)
 	for scanned := 0; scanned < n && granted < l.width; scanned++ {

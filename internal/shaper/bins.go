@@ -47,17 +47,10 @@ type binCore struct {
 
 	stats Stats
 
-	// wakeGen counts mutations of the state the nextWake scan reads
-	// (credits, unused, released/lastRelease, jitterFrac, the clocks).
-	// wakeCache memoizes the last credit-mode scan result keyed by
-	// (wakeGen, pending): the scan is a pure function of that state and
-	// the cycle, and a result computed at an earlier cycle stays the
-	// first admission point until the state mutates. Derived state —
-	// never serialized; Restore invalidates it.
-	wakeGen          uint64
-	wakeCacheGen     uint64
-	wakeCachePending bool
-	wakeCache        sim.Cycle
+	// wakeGen counts mutations of the credit state the release verdicts
+	// read (credits, unused, released/lastRelease, jitterFrac, the
+	// clocks); the verdict memos below are keyed by it.
+	wakeGen uint64
 
 	// Release-verdict memos. releaseBin and fakeBin are pure functions of
 	// the credit state (versioned by wakeGen) and the inter-arrival time,
@@ -328,16 +321,10 @@ func (b *binCore) maybeReplenish(now sim.Cycle) (bool, int) {
 	return true, unusedTotal
 }
 
-// wakeScanCap bounds the forward scan nextWake performs in credit mode.
-// Past the cap the shaper reports a conservative early wake; the kernel
-// then re-evaluates from there, so a long dead stretch is covered in
-// wakeScanCap-sized jumps rather than one.
-const wakeScanCap = 4096
-
 // nextWake returns the earliest cycle at which Tick could do something
-// observable, given that no new traffic arrives in between (the kernel
-// only consults the hint while every other component is idle too).
-// pending reports whether a real transaction is queued for release.
+// observable, given that no new traffic arrives in between (an arrival
+// wakes the shaper through TrySend). pending reports whether a real
+// transaction is queued for release.
 //
 // Every branch exploits the fact that the release predicates
 // (releaseBin, fakeBin, slotOpen, obliviousDue) are pure functions of
@@ -378,35 +365,26 @@ func (b *binCore) nextWake(now sim.Cycle, pending bool) sim.Cycle {
 		}
 		return limit
 	}
-	// Credit mode: scan forward for the first cycle whose release
-	// predicate admits a transaction. The scan is pure in (state, cycle)
-	// and time is monotone, so a result computed at an earlier cycle
-	// remains the first admission point until the state mutates — the
-	// memo below keeps the per-cycle cost O(1) when the kernel polls the
-	// hint every cycle because some other component is busy.
-	if b.wakeCacheGen == b.wakeGen && b.wakeCachePending == pending && b.wakeCache > now {
-		return b.wakeCache
-	}
-	if c := now + wakeScanCap; c < limit {
-		limit = c
-	}
+	// Credit mode: the first cycle whose release predicate admits a
+	// transaction. releaseBin and fakeBin hold each verdict until its
+	// memo's horizon (the next bin edge or jitter threshold), so the scan
+	// steps from one horizon to the next instead of one cycle at a time.
 	w := limit
 	if pending {
-		for c := now + 1; c < limit; c++ {
+		for c := now + 1; c < limit; c = b.realMemo.until {
 			if _, ok := b.releaseBin(c); ok {
 				w = c
 				break
 			}
 		}
 	} else if b.cfg.GenerateFake && b.unusedCredits() > 0 {
-		for c := now + 1; c < limit; c++ {
+		for c := now + 1; c < limit; c = b.fakeMemo.until {
 			if _, ok := b.fakeBin(c); ok {
 				w = c
 				break
 			}
 		}
 	}
-	b.wakeCacheGen, b.wakeCachePending, b.wakeCache = b.wakeGen, pending, w
 	return w
 }
 

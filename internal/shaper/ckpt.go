@@ -94,8 +94,8 @@ func (b *binCore) Restore(d *ckpt.Decoder) error {
 	b.stats.WarningsSent = d.U64()
 	b.stats.Epochs = d.U64()
 	b.stats.RateChanges = d.U64()
-	// The wake memo is derived state: whatever was cached describes the
-	// pre-restore timeline.
+	// The verdict memos are derived state: whatever was cached describes
+	// the pre-restore timeline.
 	b.wakeGen++
 	return d.Err()
 }

@@ -66,6 +66,10 @@ type Shaper struct {
 
 	nextID *uint64
 
+	// wake re-arms the shaper in its kernel's schedule before an
+	// arrival lands (see sim.WakeHandle).
+	wake sim.WakeHandle
+
 	// pool, when set, supplies fake transactions and takes back fakes the
 	// NoC refused at admission. Nil keeps plain allocation.
 	pool *mem.Pool
@@ -124,6 +128,11 @@ func newShaper(core int, cfg Config, queueCap int, out mem.ReqPort, rng *sim.RNG
 // allocation.
 func (s *Shaper) SetPool(pool *mem.Pool) { s.pool = pool }
 
+// SetWake installs the shaper's handle on its kernel slot. TrySend calls
+// it before queueing an arrival, so an idle shaper is ticked again from
+// the arrival's cycle on.
+func (s *Shaper) SetWake(w sim.WakeHandle) { s.wake = w }
+
 // Config returns the active configuration.
 func (s *Shaper) Config() Config { return s.bins.cfg.Clone() }
 
@@ -133,8 +142,10 @@ func (s *Shaper) Config() Config { return s.bins.cfg.Clone() }
 // invalid configuration is rejected without touching the running shaper.
 // The window, epoch and oblivious clocks also restart from cycle 0, so a
 // mid-run call replays the windows since then, one per cycle (a known
-// deviation, see DESIGN.md).
+// deviation, see DESIGN.md). Like an arrival, it wakes the shaper first,
+// so a shaper parked on the old configuration's hint is ticked again.
 func (s *Shaper) Reconfigure(cfg Config) error {
+	s.wake.Wake()
 	bins, err := newBinCore(cfg, s.rng)
 	if err != nil {
 		return err
@@ -184,9 +195,11 @@ func (s *Shaper) DistributionDrift() float64 {
 // controller retirement (the return-channel overflow prevention the paper
 // mentions).
 func (s *Shaper) TrySend(now sim.Cycle, req *mem.Request) bool {
-	if !s.queue.Push(req) {
+	if s.queue.Full() {
 		return false
 	}
+	s.wake.Wake()
+	s.queue.Push(req)
 	s.Intrinsic.Observe(now)
 	s.bins.noteArrival()
 	return true

@@ -47,9 +47,12 @@ func (k *Kernel) Snapshot(e *ckpt.Encoder) {
 // Restore implements ckpt.Stater. Pending events are re-queued against the
 // handlers registered in this process; an event naming a handler ID beyond
 // what has been registered means the restoring process was assembled
-// differently from the writer and the checkpoint cannot be trusted.
+// differently from the writer and the checkpoint cannot be trusted. The
+// components restore themselves to the checkpoint cycle, so every slot
+// restarts folded through it and due at the next cycle.
 func (k *Kernel) Restore(d *ckpt.Decoder) error {
 	k.now = Cycle(d.U64())
+	k.resetSlots()
 	k.seq = d.U64()
 	if err := k.rng.Restore(d); err != nil {
 		return err

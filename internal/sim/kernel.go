@@ -37,28 +37,34 @@ type TickFunc func(now Cycle)
 func (f TickFunc) Tick(now Cycle) { f(now) }
 
 // NeverWake is the NextWake return value of a component with no future
-// work of its own: it only acts again in response to another component
-// (a request arriving on a queue, an event firing).
+// work of its own: it only acts again when another component wakes it
+// (a request arriving on a queue, a bank freeing) or an event fires.
 const NeverWake = Cycle(1<<64 - 1)
 
 // NextWaker is the optional idle hint. A component that implements it
 // promises that between now (exclusive) and NextWake(now) (exclusive)
-// its Tick is a pure bulk-accountable no-op: no queue moves, no message
-// is produced or consumed, no decision is taken. The kernel may then
-// skip those cycles entirely, calling Skip (if implemented) once for
-// the whole span instead of Tick once per cycle.
+// its Tick is a pure bulk-accountable no-op — no queue moves, no message
+// is produced or consumed, no decision is taken — unless another
+// component wakes it first (see WakeHandle). The kernel then ticks the
+// component only on cycles when it is due and folds the cycles in
+// between into one Skip call (if implemented).
 //
 // The contract is asymmetric. Returning an EARLY wake (any value down
-// to now+1) is always correct — the kernel simply falls back to
-// stepping, which is what happens today on every cycle. Returning a
-// LATE wake is a correctness bug: the kernel would jump past a cycle
-// where the component wanted to act, and the run would diverge from a
-// cycle-stepped one. When a component cannot cheaply bound its next
-// interesting cycle it must return now+1, never a guess.
+// to now+1) is always correct — the kernel simply ticks the component
+// again, which is what cycle stepping does on every cycle. Returning a
+// LATE wake is a correctness bug: the kernel would not tick the
+// component on a cycle where it wanted to act, and the run would
+// diverge from a cycle-stepped one. When a component cannot cheaply
+// bound its next interesting cycle it must return now+1, never a guess.
 //
-// The fast path only engages when every registered component implements
-// NextWaker; a single hint-less component pins the kernel to
-// cycle-stepped mode.
+// The hint only covers the component's self-driven work. Work that
+// another component hands it (a push into its queue, a bank freed under
+// it) reaches the kernel through the component's WakeHandle, which the
+// mutator calls first.
+//
+// Per-component scheduling only engages when every registered
+// component implements NextWaker; a single hint-less component pins the
+// kernel to cycle-stepped mode.
 type NextWaker interface {
 	// NextWake returns the earliest cycle at which the component's Tick
 	// may do something observable, or NeverWake if it has no
@@ -67,15 +73,52 @@ type NextWaker interface {
 }
 
 // Skipper is the optional bulk-accounting hook paired with NextWaker.
-// When the kernel skips the span [from, to] (inclusive on both ends),
-// it calls Skip exactly once instead of Tick to..from times. Skip must
-// leave the component in the byte-identical state that to-from+1
-// no-op Ticks would have: counters that increment every cycle advance
-// by the span length, round-robin pointers rotate by it, and so on.
-// Components whose idle Tick mutates nothing at all need not implement
-// Skipper.
+// When the kernel did not tick a component over the span [from, to]
+// (inclusive on both ends), it calls Skip exactly once for the span
+// before the component's next Tick, before a wake lets another
+// component mutate it, and at every Sync. Skip must leave the component
+// in the byte-identical state that to-from+1 no-op Ticks would have:
+// counters that increment every cycle advance by the span length,
+// round-robin pointers rotate by it, and so on. Skip may branch on the
+// component's state, because that state is exactly what the skipped
+// Ticks would have seen. Components whose idle Tick mutates nothing at
+// all need not implement Skipper.
 type Skipper interface {
 	Skip(from, to Cycle)
+}
+
+// WakeHandle is a component's handle on its own slot in a kernel's
+// schedule. Code outside the component calls Wake immediately before it
+// mutates the component (a push into its queue, a command that frees or
+// occupies its resources): Wake folds the cycles the component was not
+// ticked into its Skip, so Skip sees the pre-mutation state, and makes
+// the component due again. A component woken by an earlier-registered
+// component (or an event handler) still ticks in the current cycle; one
+// woken by a later-registered component, or between runs, ticks in the
+// next — exactly where a cycle-stepped run would first tick it after the
+// mutation.
+//
+// The handle reaches its kernel through a pointer to the owner's kernel
+// field, read at call time, so an owner that moves its components onto
+// a new kernel (registered in the same order) keeps every handle valid.
+// The zero handle does nothing: standalone components need no kernel.
+type WakeHandle struct {
+	k    **Kernel
+	slot int
+}
+
+// NewWakeHandle returns the handle for the component registered at slot
+// (Register's return value) in the kernel *k points to.
+func NewWakeHandle(k **Kernel, slot int) WakeHandle { return WakeHandle{k: k, slot: slot} }
+
+// Wake re-arms the component; see WakeHandle. It is a no-op unless the
+// kernel schedules per component.
+func (w WakeHandle) Wake() {
+	if w.k != nil {
+		if k := *w.k; k.sched {
+			k.wake(w.slot)
+		}
+	}
 }
 
 // EventKind is a component-defined discriminator for typed events. Kinds
@@ -118,21 +161,36 @@ type event struct {
 
 // Kernel owns the clock and drives all registered components.
 type Kernel struct {
-	now        Cycle
-	components []Tickable
-	events     eventHeap
-	handlers   []EventHandler
-	seq        uint64
-	rng        *RNG
-	stopped    bool
+	now      Cycle
+	slots    []slot
+	events   eventHeap
+	handlers []EventHandler
+	seq      uint64
+	rng      *RNG
+	stopped  bool
 
-	// Fast-path state. wakers is parallel to components and only
-	// consulted when allHinted holds; skippers is the subset of
-	// components that need bulk accounting for skipped spans.
-	wakers       []NextWaker
-	skippers     []Skipper
+	// sched reports whether the per-component schedule is live: the
+	// fast path is not disabled and every component has a wake hint
+	// (allHinted). Only then are the slots' due/last maintained and
+	// wakes honored.
 	allHinted    bool
 	fastDisabled bool
+	sched        bool
+
+	// cursor is the index of the slot ticking right now: -1 while the
+	// cycle's events fire, outside between cycles. A wake compares its
+	// slot against it to tell whether the woken component still ticks
+	// in this cycle.
+	cursor int
+	// next is the earliest due cycle over all slots, maintained as each
+	// cycle runs (and by wakes), so a jump needs no sweep. unpolled marks
+	// slots (new, restored, or back from stepping) whose hint the next
+	// Advance must take first.
+	next     Cycle
+	unpolled bool
+	// synced is the cycle of the last Sync. Until the clock moves on, no
+	// slot can fall behind again, so a second Sync has nothing to fold.
+	synced Cycle
 
 	// skipped and jumps are observability-only: they describe how the
 	// clock advanced, not where it is, so they are deliberately absent
@@ -140,27 +198,39 @@ type Kernel struct {
 	// byte-identical checkpoints.
 	skipped Cycle
 	jumps   uint64
-
-	// busyStreak/holdoff throttle hint polling while the system is
-	// continuously busy: each fruitless earliestWake sweep grows the
-	// streak (capped), and the kernel then steps that many cycles
-	// without polling. Stepping is always correct, so this trades at
-	// most maxHintHoldoff cycles of skip latency for O(1) amortized
-	// hint cost on busy phases. Like skipped/jumps this is not state —
-	// it only shapes how the clock advances — and is never serialized.
-	busyStreak Cycle
-	holdoff    Cycle
 }
 
-// maxHintHoldoff bounds how long the kernel steps blind between
-// earliestWake sweeps during busy phases (and therefore how late a
-// skippable idle span can be noticed).
+// slot is one registered component and its place in the schedule. due,
+// last, streak and holdoff only shape when the component is ticked, not
+// what it computes, so none of them is checkpoint state.
+type slot struct {
+	c  Tickable
+	w  NextWaker // nil for a hint-less component
+	sk Skipper   // nil when idle ticks mutate nothing
+	// due is the next cycle the component must tick; last is the latest
+	// cycle folded into it, by a Tick or a Skip.
+	due, last Cycle
+	// streak/holdoff throttle hint polling while the component stays
+	// busy: each hint of now+1 doubles the streak (capped), and the
+	// kernel then ticks the component that many cycles without asking.
+	// Ticking early is always correct, so this trades at most
+	// maxHintHoldoff no-op ticks for O(1) amortized hint cost.
+	streak, holdoff uint32
+}
+
+// maxHintHoldoff bounds how many cycles a busy component is ticked
+// without polling its hint (and therefore how late an idle span of that
+// component can be noticed).
 const maxHintHoldoff = 32
+
+// outside is the cursor value between cycles: every slot counts as
+// already ticked.
+const outside = int(^uint(0) >> 1)
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 // The same seed always reproduces the same simulation.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rng: NewRNG(seed), allHinted: true}
+	return &Kernel{rng: NewRNG(seed), allHinted: true, sched: true, cursor: outside}
 }
 
 // Now returns the current cycle.
@@ -171,23 +241,51 @@ func (k *Kernel) Now() Cycle { return k.now }
 // must flow through it.
 func (k *Kernel) RNG() *RNG { return k.rng }
 
-// Register adds a component to the per-cycle tick list. Components tick in
-// registration order. Components implementing NextWaker (and optionally
-// Skipper) opt in to the idle fast path; one component without the hint
-// keeps the whole kernel cycle-stepped.
-func (k *Kernel) Register(c Tickable) {
+// Register adds a component to the tick list and returns its slot, the
+// index NewWakeHandle takes. Components tick in registration order.
+// Components implementing NextWaker (and optionally Skipper) are ticked
+// only when due; one component without the hint keeps the whole kernel
+// cycle-stepped.
+func (k *Kernel) Register(c Tickable) int {
 	if c == nil {
 		panic("sim: Register(nil)")
 	}
-	k.components = append(k.components, c)
-	w, ok := c.(NextWaker)
-	if !ok {
+	w, hinted := c.(NextWaker)
+	sk, _ := c.(Skipper)
+	k.slots = append(k.slots, slot{c: c, w: w, sk: sk, due: NeverWake, last: k.now})
+	k.unpolled = true
+	if !hinted {
 		k.allHinted = false
 	}
-	k.wakers = append(k.wakers, w)
-	if sk, ok := c.(Skipper); ok {
-		k.skippers = append(k.skippers, sk)
+	k.setSched()
+	return len(k.slots) - 1
+}
+
+// setSched brings the schedule in line with FastPathEligible: leaving
+// it folds every lagging component, entering it restarts every slot
+// (resetSlots).
+func (k *Kernel) setSched() {
+	on := k.FastPathEligible()
+	if on == k.sched {
+		return
 	}
+	if on {
+		k.resetSlots()
+	} else {
+		k.Sync()
+	}
+	k.sched = on
+}
+
+// resetSlots marks every component folded through now, with no hint
+// holdoff and its hint still to take: the state of a kernel that has
+// stepped every cycle so far.
+func (k *Kernel) resetSlots() {
+	for i := range k.slots {
+		s := &k.slots[i]
+		s.due, s.last, s.streak, s.holdoff = NeverWake, k.now, 0, 0
+	}
+	k.unpolled = true
 }
 
 // RegisterHandler adds an event handler and returns its ID. Like Register,
@@ -227,117 +325,233 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Step advances the simulation by exactly one cycle: the clock increments,
 // due events fire (in schedule order), then every component ticks.
 func (k *Kernel) Step() {
-	k.now++
-	for len(k.events) > 0 && k.events[0].at <= k.now {
-		ev := k.events.pop()
-		k.handlers[ev.handler].HandleEvent(k.now, ev.kind, ev.arg)
+	if k.sched {
+		for i := range k.slots {
+			k.slots[i].due = 0
+		}
+		k.tick()
+		return
 	}
-	for _, c := range k.components {
-		c.Tick(k.now)
+	k.now++
+	k.fireEvents()
+	now, slots := k.now, k.slots
+	for i := range slots {
+		slots[i].c.Tick(now)
 	}
 }
 
-// SetFastPath enables or disables the idle-cycle fast path (enabled by
+// fireEvents delivers every event due at the current cycle.
+func (k *Kernel) fireEvents() {
+	for len(k.events) > 0 && k.events[0].at <= k.now {
+		k.fireNext()
+	}
+}
+
+// fireNext delivers the earliest pending event. It stays out of line so
+// that fireEvents inlines into the per-cycle loops.
+func (k *Kernel) fireNext() {
+	ev := k.events.pop()
+	k.handlers[ev.handler].HandleEvent(k.now, ev.kind, ev.arg)
+}
+
+// tick runs one scheduled cycle: events fire, then each due component
+// (in registration order) gets its lagging span folded into Skip, ticks,
+// and has its next due cycle set from its hint.
+func (k *Kernel) tick() {
+	k.now++
+	now := k.now
+	k.cursor = -1
+	k.fireEvents()
+	k.next = NeverWake
+	next := NeverWake
+	slots := k.slots
+	for i := range slots {
+		s := &slots[i]
+		if s.due <= now {
+			k.cursor = i
+			if s.last+1 < now {
+				s.fold(now - 1)
+			}
+			s.c.Tick(now)
+			s.last = now
+			if s.holdoff > 0 {
+				s.holdoff--
+				s.due = now + 1
+			} else if w := s.w.NextWake(now); w > now+1 {
+				s.streak = 0
+				s.due = w
+			} else {
+				s.streak = min(max(2*s.streak, 1), maxHintHoldoff)
+				s.holdoff = s.streak
+				s.due = now + 1
+			}
+		}
+		if s.due < next {
+			next = s.due
+		}
+	}
+	k.cursor = outside
+	if next < k.next {
+		k.next = next
+	}
+}
+
+// fold bulk-accounts the cycles after s.last through to as skipped.
+func (s *slot) fold(to Cycle) {
+	if s.sk != nil {
+		s.sk.Skip(s.last+1, to)
+	}
+	s.last = to
+}
+
+// wake implements WakeHandle.Wake for slot i.
+func (k *Kernel) wake(i int) {
+	s := &k.slots[i]
+	now := k.now
+	switch {
+	case i > k.cursor:
+		// Still ahead in this cycle's tick order: fold the cycles before
+		// this one and tick it now.
+		if s.last+1 < now {
+			s.fold(now - 1)
+		}
+		if s.due > now {
+			s.due = now
+		}
+	case i < k.cursor:
+		// Already passed (or between cycles): this cycle's tick would
+		// have run before the mutation, so fold it and tick next cycle.
+		if s.last < now {
+			s.fold(now)
+		}
+		if s.due > now+1 {
+			s.due = now + 1
+		}
+		if now+1 < k.next {
+			k.next = now + 1
+		}
+	}
+	// i == k.cursor: the component is mutating itself mid-Tick, and its
+	// hint is taken after that Tick.
+}
+
+// Sync folds every component the schedule left behind through the
+// current cycle, so each one's state is exactly that of a cycle-stepped
+// run. Call it before reading component state from outside a cycle:
+// Run does at its end; the supervised run path does before grid-point
+// work and on exit.
+func (k *Kernel) Sync() {
+	if !k.sched || k.synced == k.now {
+		return
+	}
+	k.synced = k.now
+	for i := range k.slots {
+		if s := &k.slots[i]; s.last < k.now {
+			s.fold(k.now)
+		}
+	}
+}
+
+// poll syncs, then lowers every component's due cycle to its current
+// hint where that is sooner. Wakes already armed stay: a component woken
+// before its hint is taken must still tick where the wake put it.
+func (k *Kernel) poll() {
+	k.unpolled = false
+	k.Sync()
+	next := NeverWake
+	for i := range k.slots {
+		s := &k.slots[i]
+		w := s.w.NextWake(k.now)
+		if w <= k.now {
+			w = k.now + 1
+		}
+		if w < s.due {
+			s.due = w
+		}
+		if s.due < next {
+			next = s.due
+		}
+	}
+	k.next = next
+}
+
+// SetFastPath enables or disables per-component scheduling (enabled by
 // default when every registered component implements NextWaker).
 // Disabling forces classic cycle-by-cycle stepping — the reference mode
 // the differential tests compare against.
-func (k *Kernel) SetFastPath(on bool) { k.fastDisabled = !on }
+func (k *Kernel) SetFastPath(on bool) {
+	k.fastDisabled = !on
+	k.setSched()
+}
 
-// FastPathEligible reports whether the fast path can engage: it is not
-// disabled and every registered component provides a wake hint.
+// FastPathEligible reports whether per-component scheduling can engage:
+// it is not disabled and every registered component provides a wake
+// hint.
 func (k *Kernel) FastPathEligible() bool {
 	return !k.fastDisabled && k.allHinted
 }
 
-// SkippedCycles returns how many cycles the fast path has skipped over
-// the kernel's lifetime. Observability only — not checkpoint state.
+// SkippedCycles returns how many cycles passed with no component due
+// and no event firing, over the kernel's lifetime. Observability only —
+// not checkpoint state.
 func (k *Kernel) SkippedCycles() Cycle { return k.skipped }
 
 // Jumps returns how many clock jumps the fast path has taken.
 // Observability only — not checkpoint state.
 func (k *Kernel) Jumps() uint64 { return k.jumps }
 
-// earliestWake returns the earliest cycle anything wants to run at,
-// clamped to bound: the first pending event or the minimum component
-// wake, whichever comes first. A component returning <= now is
-// normalized to now+1 ("tick me next cycle").
-func (k *Kernel) earliestWake(bound Cycle) Cycle {
-	w := bound
-	if len(k.events) > 0 && k.events[0].at < w {
-		w = k.events[0].at
-	}
-	soon := k.now + 1
-	if w <= soon {
-		return soon
-	}
-	for _, nw := range k.wakers {
-		c := nw.NextWake(k.now)
-		if c <= soon {
-			return soon
-		}
-		if c < w {
-			w = c
-		}
-	}
-	return w
-}
-
 // Advance moves the simulation forward by at most limit cycles and
-// returns how many it covered. When the fast path is eligible and every
-// component reports its next wake beyond now+1 (and no event is due
-// sooner), the clock jumps straight to the cycle before the earliest
-// wake — calling each Skipper once for the span — and then steps the
-// wake cycle itself. Otherwise it takes a single classic Step. Either
-// way the resulting state is byte-identical to stepping every cycle.
+// returns how many it covered. Under per-component scheduling, when no
+// component is due and no event fires before some later cycle, the
+// clock jumps straight to the cycle before it and then runs that cycle,
+// ticking only the components due in it. Otherwise it runs a single
+// cycle. Either way the resulting state is byte-identical to stepping
+// every cycle once the lagging components are folded (Sync).
 func (k *Kernel) Advance(limit Cycle) Cycle {
 	if limit == 0 {
 		return 0
 	}
-	if k.FastPathEligible() {
-		if k.holdoff > 0 {
-			k.holdoff--
-			k.Step()
-			return 1
-		}
-		end := k.now + limit
-		if w := k.earliestWake(end + 1); w > k.now+1 {
-			k.busyStreak = 0
-			target := w - 1
-			if target > end {
-				target = end
-			}
-			n := target - k.now
-			from := k.now + 1
-			k.now = target
-			for _, sk := range k.skippers {
-				sk.Skip(from, target)
-			}
-			k.skipped += n
-			k.jumps++
-			if k.now >= end {
-				return n
-			}
-			k.Step()
-			return n + 1
-		}
-		if k.busyStreak < maxHintHoldoff {
-			k.busyStreak++
-		}
-		k.holdoff = k.busyStreak
+	if !k.sched {
+		k.Step()
+		return 1
 	}
-	k.Step()
+	if k.unpolled {
+		k.poll()
+	}
+	next := k.next
+	if len(k.events) > 0 && k.events[0].at < next {
+		next = k.events[0].at
+	}
+	if next > k.now+1 {
+		end := k.now + limit
+		target := next - 1
+		if target > end {
+			target = end
+		}
+		n := target - k.now
+		k.now = target
+		k.skipped += n
+		k.jumps++
+		if k.now >= end {
+			return n
+		}
+		k.tick()
+		return n + 1
+	}
+	k.tick()
 	return 1
 }
 
-// Run advances the simulation n cycles, or fewer if Stop is called.
-// It returns the number of cycles actually simulated (skipped idle
-// cycles count: they were simulated, just in bulk).
+// Run advances the simulation n cycles, or fewer if Stop is called, and
+// syncs. It returns the number of cycles actually simulated (skipped
+// idle cycles count: they were simulated, just in bulk).
 func (k *Kernel) Run(n Cycle) Cycle {
 	k.stopped = false
 	var done Cycle
 	for done < n && !k.stopped {
 		done += k.Advance(n - done)
 	}
+	k.Sync()
 	return done
 }
 
@@ -346,9 +560,10 @@ func (k *Kernel) Run(n Cycle) Cycle {
 // satisfied. Like Run it honors Stop: a watchdog or checker calling
 // Stop mid-cycle ends the loop after that cycle completes. It always
 // steps cycle-by-cycle — pred may observe any intermediate state, so
-// the kernel must not jump over cycles where it could flip.
+// every component must be current after every cycle.
 func (k *Kernel) RunUntil(pred func() bool, limit Cycle) bool {
 	k.stopped = false
+	k.Sync()
 	for i := Cycle(0); i < limit && !k.stopped; i++ {
 		if pred() {
 			return true

@@ -41,26 +41,34 @@ journal="$workdir/journal.jsonl"
 # Reference: uninterrupted run.
 "$bin" -run "$RUN" -cycles "$CYCLES" -jobs 1 >"$workdir/reference.txt" 2>/dev/null
 
-# Interrupted run: SIGINT once the journal holds half the jobs.
+# Interrupted run: SIGINT as soon as the journal holds half the jobs.
+# At this cycle count a job takes milliseconds, less than any sleep
+# between polls, so the poll spins and counts journal lines with
+# builtins only (no fork per poll); the interrupt then lands within one
+# job of the target.
 "$bin" -run "$RUN" -cycles "$CYCLES" -jobs 1 -grace 30s \
   -journal "$journal" >"$workdir/interrupted.txt" 2>"$workdir/interrupted.err" &
 pid=$!
 pids=$pid
-for _ in $(seq 1 300); do
-  done_jobs=0
+target=$((total / 2))
+done_jobs=0
+SECONDS=0
+while [ "$done_jobs" -lt "$target" ]; do
   if [ -f "$journal" ]; then
-    done_jobs=$(wc -l <"$journal")
-  fi
-  if [ "$done_jobs" -ge $((total / 2)) ]; then
-    break
+    mapfile -t lines <"$journal"
+    done_jobs=${#lines[@]}
   fi
   if ! kill -0 "$pid" 2>/dev/null; then
     echo "campaign-smoke: campaign exited before the interrupt" >&2
     exit 1
   fi
-  sleep 0.1
+  if [ "$SECONDS" -ge 120 ]; then
+    echo "campaign-smoke: journal held $done_jobs/$total jobs after 120 s" >&2
+    exit 1
+  fi
 done
 kill -INT "$pid"
+echo "campaign-smoke: sent SIGINT with $done_jobs/$total jobs journaled (target $target)"
 rc=0
 wait "$pid" || rc=$?
 pids=""
