@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz-seeds fuzz experiments campaign-smoke obs-smoke ckpt-smoke chaos-soak worker-smoke bench-kernel bench-kernel-check
+.PHONY: ci fmt vet build test race fuzz-seeds fuzz experiments campaign-smoke obs-smoke ckpt-smoke chaos-soak worker-smoke paper-digest bench-kernel bench-kernel-check
 
 ci: fmt vet build race fuzz-seeds
 
@@ -52,6 +52,11 @@ campaign-smoke:
 # artifacts validated against the Chrome trace_event and span schemas.
 obs-smoke:
 	./scripts/obs_smoke.sh
+
+# Byte-identity guard: the paper regenerated at seed 1, 100k cycles, must
+# hash to the paper-regen seed-1 digest in perfbench/digests.json.
+paper-digest:
+	./scripts/paper_digest.sh
 
 # Kernel throughput benchmark: measures simulated cycles per second per
 # shaping scheme with the idle fast path on and forced off, and rewrites

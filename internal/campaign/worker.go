@@ -93,7 +93,10 @@ type HeartbeatFrame struct {
 	// Kind is "start" (sent once before the attempt), "grid" (from a
 	// supervision-grid boundary) or "done" (sent once after).
 	Kind string `json:"kind"`
-	// Cycle is the simulated cycle of the most recent grid point.
+	// Cycle is the simulated cycle of the most recent grid point,
+	// counted on from the previous system's last grid point when a job
+	// runs several systems one after another, so it never decreases
+	// within an attempt.
 	Cycle uint64 `json:"cycle"`
 	// RSS is the worker's resident set size in bytes at emission.
 	RSS int64 `json:"rss"`
@@ -204,7 +207,10 @@ type HeartbeatWriter struct {
 	every     time.Duration
 	last      time.Time
 	lastCycle uint64
-	broken    bool
+	// sysCycle is the current system's latest grid cycle; base sums the
+	// final grid cycles of the systems before it.
+	sysCycle, base uint64
+	broken         bool
 	// tracker / monitor, when set, piggyback metric deltas and SLO
 	// alerts on every emitted frame. Deltas are computed only at emission
 	// (not per Beat), so throttled-away grid points lose no increments.
@@ -233,18 +239,25 @@ func NewHeartbeatWriter(sink func(HeartbeatFrame) error, every time.Duration) *H
 }
 
 // Beat records a supervision-grid heartbeat, emitting a frame if the
-// throttle interval has elapsed.
+// throttle interval has elapsed. A beat behind the previous one comes
+// from the next system of a job that runs several, which restarts its
+// clock at cycle 0: the frame cycle continues from the previous system's
+// instead, so the supervisor's metric history stays in cycle order.
 func (w *HeartbeatWriter) Beat(hb core.Heartbeat) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.lastCycle = hb.Cycle
+	if hb.Cycle < w.sysCycle {
+		w.base += w.sysCycle
+	}
+	w.sysCycle = hb.Cycle
+	w.lastCycle = w.base + hb.Cycle
 	if w.sink == nil || w.broken || time.Since(w.last) < w.every {
 		return
 	}
 	w.last = time.Now()
 	w.writeLocked(HeartbeatFrame{
 		Kind:          FrameGrid,
-		Cycle:         hb.Cycle,
+		Cycle:         w.lastCycle,
 		RSS:           readRSS(),
 		CkptDegraded:  hb.CheckpointDegraded,
 		CkptSaveFails: hb.CheckpointSaveFailures,

@@ -331,6 +331,24 @@ func TestServeAttemptAssignmentTable(t *testing.T) {
 // TestProcessIsolationUnknownJobFatal: a supervisor whose job list holds
 // a job the worker's list lacks gets the worker's protocol refusal, and
 // the job fails fatally on its first attempt instead of burning retries.
+// TestHeartbeatCyclesOrderedAcrossSystems: a job that runs several
+// systems restarts the simulated clock with each one. The writer's cycle
+// continues from the previous system's last grid point instead, so the
+// supervisor's metric history stays in cycle order.
+func TestHeartbeatCyclesOrderedAcrossSystems(t *testing.T) {
+	w := NewHeartbeatWriter(nil, 0)
+	for i, c := range []struct{ beat, want uint64 }{
+		{0, 0}, {100, 100}, {200, 200}, // first system
+		{0, 200}, {50, 250}, // second system
+		{0, 250}, {0, 250}, {10, 260}, // a system that beat only at 0, then a fourth
+	} {
+		w.Beat(core.Heartbeat{Cycle: c.beat})
+		if got := w.LastCycle(); got != c.want {
+			t.Fatalf("beat %d at cycle %d: LastCycle %d, want %d", i, c.beat, got, c.want)
+		}
+	}
+}
+
 func TestProcessIsolationUnknownJobFatal(t *testing.T) {
 	checkGoroutines(t)
 	opt := procOpts(t)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"camouflage/internal/attack"
-	"camouflage/internal/core"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -60,26 +59,17 @@ func CovertChannel(ctx context.Context, key uint64, keyLen int, seed uint64) (*C
 	cycles := CovertPulse * sim.Cycle(keyLen+2)
 
 	run := func(shaped bool) ([]int, error) {
-		cfg := core.DefaultConfig()
-		cfg.Cores = 1
-		cfg.Seed = seed
+		cfg := seeded(1, seed)
 		if shaped {
-			cfg.Scheme = core.ReqC
-			sc := CovertDefenseConfig()
-			cfg.ReqShaperCfg = &sc
+			cfg = withReqC(cfg, CovertDefenseConfig())
 		}
 		sender := trace.NewCovertSender(key, keyLen, CovertPulse, 2, true)
 		res.SentBits = sender.Bits()
-		sys, err := core.NewSystem(cfg, []trace.Source{sender})
+		r, err := Run{Config: cfg, Sources: []trace.Source{sender}, Cycles: cycles, Bus: true}.Do(ctx)
 		if err != nil {
 			return nil, err
 		}
-		mon := attack.NewBusMonitor(0)
-		sys.ReqNet.AddTap(mon.Observe)
-		if err := sys.RunContext(ctx, cycles); err != nil {
-			return nil, err
-		}
-		return mon.WindowCounts(0, CovertPulse, keyLen), nil
+		return r.Bus.WindowCounts(0, CovertPulse, keyLen), nil
 	}
 
 	var err error

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"camouflage/internal/attack"
-	"camouflage/internal/core"
 	"camouflage/internal/mi"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
@@ -47,25 +45,13 @@ func EpochRateComparison(ctx context.Context, benchmark string, cycles sim.Cycle
 	window := 4 * shaper.DefaultWindow
 
 	// Baseline: intrinsic sequence + demand.
-	cfg := core.DefaultConfig()
-	cfg.Cores = 1
-	cfg.Seed = seed
-	srcs, err := SoloSource(benchmark, seed+41)
+	run := Run{Config: seeded(1, seed), Benchmarks: []string{benchmark}, TraceSeed: seed + 41, Warmup: WarmupCycles, Cycles: cycles, Bus: true}
+	base, err := run.Do(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystem(cfg, srcs)
-	if err != nil {
-		return nil, err
-	}
-	mon := attack.NewBusMonitor(0)
-	sys.ReqNet.AddTap(mon.Observe)
-	rsBase, err := measureRun(ctx, sys, WarmupCycles, cycles)
-	if err != nil {
-		return nil, err
-	}
-	intrinsic := mon.InterArrivals()
-	demand := float64(mon.Count()) / float64(WarmupCycles+cycles) * float64(window)
+	intrinsic := base.Bus.InterArrivals()
+	demand := float64(base.Bus.Count()) / float64(WarmupCycles+cycles) * float64(window)
 	if demand < 2 {
 		demand = 2
 	}
@@ -73,38 +59,25 @@ func EpochRateComparison(ctx context.Context, benchmark string, cycles sim.Cycle
 	res := &EpochRateResult{Benchmark: benchmark}
 	res.Rows = append(res.Rows, EpochRateRow{
 		Scheme:        "NoShaping",
-		IPC:           rsBase.ipc(0),
+		IPC:           base.ipc(0),
 		MI:            mi.SelfInformation(intrinsic, binning),
 		LeakBoundBits: -1,
 	})
 
 	runShaped := func(name string, shCfg shaper.Config, bound func(st shaper.Stats) float64) error {
-		c := core.DefaultConfig()
-		c.Cores = 1
-		c.Seed = seed
-		c.Scheme = core.ReqC
-		sc := shCfg.Clone()
-		c.ReqShaperCfg = &sc
-		srcs, err := SoloSource(benchmark, seed+41)
+		shaped := run
+		shaped.Config = withReqC(run.Config, shCfg)
+		shaped.Bus, shaped.Shaped = false, true
+		r, err := shaped.Do(ctx)
 		if err != nil {
 			return err
 		}
-		s, err := core.NewSystem(c, srcs)
-		if err != nil {
-			return err
-		}
-		s.ReqShapers[0].Shaped = stats.NewInterArrivalRecorder(binning, true)
-		rs, err := measureRun(ctx, s, WarmupCycles, cycles)
-		if err != nil {
-			return err
-		}
-		row := EpochRateRow{
+		res.Rows = append(res.Rows, EpochRateRow{
 			Scheme:        name,
-			IPC:           rs.ipc(0),
-			MI:            mi.SequenceMI(intrinsic, s.ReqShapers[0].Shaped.Raw, binning),
-			LeakBoundBits: bound(s.ReqShapers[0].Stats()),
-		}
-		res.Rows = append(res.Rows, row)
+			IPC:           r.ipc(0),
+			MI:            mi.SequenceMI(intrinsic, r.ShaperOut.Raw, binning),
+			LeakBoundBits: bound(r.ShaperStats),
+		})
 		return nil
 	}
 

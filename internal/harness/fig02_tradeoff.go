@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 
-	"camouflage/internal/attack"
-	"camouflage/internal/core"
 	"camouflage/internal/mi"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
@@ -42,26 +40,14 @@ func TradeoffSpace(ctx context.Context, benchmark string, cycles sim.Cycle, seed
 	window := 4 * shaper.DefaultWindow
 
 	// Unshaped anchor run: intrinsic sequence and baseline IPC.
-	cfg := core.DefaultConfig()
-	cfg.Cores = 1
-	cfg.Seed = seed
-	srcs, err := SoloSource(benchmark, seed+21)
+	run := Run{Config: seeded(1, seed), Benchmarks: []string{benchmark}, TraceSeed: seed + 21, Warmup: WarmupCycles, Cycles: cycles, Bus: true}
+	base, err := run.Do(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystem(cfg, srcs)
-	if err != nil {
-		return nil, err
-	}
-	mon := attack.NewBusMonitor(0)
-	sys.ReqNet.AddTap(mon.Observe)
-	rsBase, err := measureRun(ctx, sys, WarmupCycles, cycles)
-	if err != nil {
-		return nil, err
-	}
-	intrinsic := mon.InterArrivals()
-	baseIPC := rsBase.ipc(0)
-	demand := float64(mon.Count()) / float64(WarmupCycles+cycles) * float64(window)
+	intrinsic := base.Bus.InterArrivals()
+	baseIPC := base.ipc(0)
+	demand := float64(base.Bus.Count()) / float64(WarmupCycles+cycles) * float64(window)
 
 	res := &TradeoffSpaceResult{Benchmark: benchmark}
 	res.Points = append(res.Points, TradeoffPoint{
@@ -96,31 +82,19 @@ func TradeoffSpace(ctx context.Context, benchmark string, cycles sim.Cycle, seed
 	}
 
 	for _, p := range pts {
-		shCfg := core.DefaultConfig()
-		shCfg.Cores = 1
-		shCfg.Seed = seed
-		shCfg.Scheme = core.ReqC
-		sc := p.cfg.Clone()
-		shCfg.ReqShaperCfg = &sc
-		srcs, err := SoloSource(benchmark, seed+21)
-		if err != nil {
-			return nil, err
-		}
-		s, err := core.NewSystem(shCfg, srcs)
-		if err != nil {
-			return nil, err
-		}
-		s.ReqShapers[0].Shaped = stats.NewInterArrivalRecorder(binning, true)
-		rs, err := measureRun(ctx, s, WarmupCycles, cycles)
+		shaped := run
+		shaped.Config = withReqC(run.Config, p.cfg)
+		shaped.Bus, shaped.Shaped = false, true
+		r, err := shaped.Do(ctx)
 		if err != nil {
 			return nil, err
 		}
 		point := TradeoffPoint{
 			Label: p.label,
-			MI:    mi.SequenceMI(intrinsic, s.ReqShapers[0].Shaped.Raw, binning),
+			MI:    mi.SequenceMI(intrinsic, r.ShaperOut.Raw, binning),
 		}
 		if baseIPC > 0 {
-			point.RelPerf = rs.ipc(0) / baseIPC
+			point.RelPerf = r.ipc(0) / baseIPC
 		}
 		res.Points = append(res.Points, point)
 	}

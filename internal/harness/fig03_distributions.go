@@ -2,9 +2,9 @@ package harness
 
 import (
 	"context"
+	"strconv"
 
 	"camouflage/internal/core"
-	"camouflage/internal/mem"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -39,83 +39,47 @@ func ShapedDistributions(ctx context.Context, benchmark string, cycles sim.Cycle
 	// The observation point is the response channel: what rate the
 	// benchmark is actually served at, which is where TP's turn structure
 	// and CS's slotting show up.
+	run := Run{Benchmarks: mix(benchmark, "astar"), TraceSeed: seed + 31, Cycles: cycles, RespHist: true}
 	measure := func(cfg core.Config) ([]float64, error) {
-		srcs, err := Workload(benchmark, "astar", seed+31)
+		r := run
+		r.Config = cfg
+		out, err := r.Do(ctx)
 		if err != nil {
 			return nil, err
 		}
-		sys, err := core.NewSystem(cfg, srcs)
-		if err != nil {
-			return nil, err
-		}
-		rec := stats.NewInterArrivalRecorder(binning, false)
-		sys.RespNet.AddTap(func(now sim.Cycle, req *mem.Request) {
-			if req.Core == 0 {
-				rec.Observe(now)
-			}
-		})
-		if err := sys.RunContext(ctx, cycles); err != nil {
-			return nil, err
-		}
-		return rec.Hist.PMF(), nil
+		return out.RespHist.PMF(), nil
 	}
 
-	var err error
-	base := core.DefaultConfig()
-	base.Seed = seed
-	if res.Intrinsic, err = measure(base); err != nil {
+	// The unshaped run also counts the benchmark's bus requests: its
+	// demand sizes the CS slot so it genuinely shapes.
+	base := seeded(4, seed)
+	unshapedRun := run
+	unshapedRun.Config, unshapedRun.Bus = base, true
+	unshaped, err := unshapedRun.Do(ctx)
+	if err != nil {
 		return nil, err
 	}
-
-	// Demand sizes the CS slot so it genuinely shapes.
+	res.Intrinsic = unshaped.RespHist.PMF()
 	demand := window / 256 // a conservative default when measurement fails
-	{
-		srcs, err := Workload(benchmark, "astar", seed+31)
-		if err != nil {
-			return nil, err
-		}
-		sys, err := core.NewSystem(base, srcs)
-		if err != nil {
-			return nil, err
-		}
-		var count int
-		sys.ReqNet.AddTap(func(_ sim.Cycle, req *mem.Request) {
-			if req.Core == 0 {
-				count++
-			}
-		})
-		if err := sys.RunContext(ctx, cycles); err != nil {
-			return nil, err
-		}
-		if count > 0 {
-			d := sim.Cycle(count) * window / cycles
-			if d >= 2 {
-				demand = d
-			}
+	if count := unshaped.Bus.Count(); count > 0 {
+		if d := sim.Cycle(count) * window / cycles; d >= 2 {
+			demand = d
 		}
 	}
 
-	csCfg := base
-	csCfg.Scheme = core.CS
-	csc := shaper.ConstantRate(binning, window/demand, window, true)
-	csCfg.ReqShaperCfg = &csc
-	csCfg.ReqShaperCores = []int{0}
-	if res.CS, err = measure(csCfg); err != nil {
+	cs := withReqC(base, shaper.ConstantRate(binning, window/demand, window, true), 0)
+	cs.Scheme = core.CS
+	if res.CS, err = measure(cs); err != nil {
 		return nil, err
 	}
 
-	tpCfg := base
-	tpCfg.Scheme = core.TP
-	if res.TP, err = measure(tpCfg); err != nil {
+	tp := base
+	tp.Scheme = core.TP
+	if res.TP, err = measure(tp); err != nil {
 		return nil, err
 	}
 
-	camCfg := base
-	camCfg.Scheme = core.ReqC
-	cam := DesiredStaircase()
-	camCfg.ReqShaperCfg = &cam
-	camCfg.ReqShaperCores = []int{0}
-	if res.Camouflage, err = measure(camCfg); err != nil {
+	if res.Camouflage, err = measure(withReqC(base, DesiredStaircase(), 0)); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -125,7 +89,7 @@ func ShapedDistributions(ctx context.Context, benchmark string, cycles sim.Cycle
 func (r *ShapedDistributionsResult) Table() *Table {
 	cols := []string{"scheme"}
 	for i := 0; i < r.Binning.N(); i++ {
-		cols = append(cols, f0(r.Binning.Lower(i)))
+		cols = append(cols, strconv.FormatUint(uint64(r.Binning.Lower(i)), 10))
 	}
 	t := &Table{
 		Title:   "Figure 3 — observed service inter-arrival PMFs by scheme (" + r.Benchmark + "); columns are bin lower edges in cycles",
@@ -143,22 +107,4 @@ func (r *ShapedDistributionsResult) Table() *Table {
 	add("TP", r.TP)
 	add("Camouflage", r.Camouflage)
 	return t
-}
-
-func f0(v sim.Cycle) string {
-	return fmtUint(uint64(v))
-}
-
-func fmtUint(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -5,9 +5,9 @@ import (
 	"fmt"
 
 	"camouflage/internal/attack"
-	"camouflage/internal/core"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
+	"camouflage/internal/stats"
 	"camouflage/internal/trace"
 )
 
@@ -33,35 +33,24 @@ type KeyDistortionResult struct {
 func KeyDistortion(ctx context.Context, key uint64, keyLen int, seed uint64) (*KeyDistortionResult, error) {
 	cycles := CovertPulse * sim.Cycle(keyLen+2)
 
-	cfg := core.DefaultConfig()
-	cfg.Cores = 1
-	cfg.Seed = seed
-	cfg.Scheme = core.ReqC
 	// Mild shaping: a tight low-bin staircase with fake traffic and the
 	// §IV-B4 within-bin release randomization — enough to corrupt the
 	// inferred keys without erasing the traffic envelope entirely.
-	sc := shaper.Config{
-		Binning:            statsBinning(),
+	cfg := withReqC(seeded(1, seed), shaper.Config{
+		Binning:            stats.DefaultBinning(),
 		Credits:            []int{2, 1, 1, 1, 0, 0, 0, 0, 0, 0},
 		Window:             shaper.DefaultWindow,
 		GenerateFake:       true,
 		Policy:             shaper.PolicyExact,
 		RandomizeWithinBin: true,
-	}
-	cfg.ReqShaperCfg = &sc
-
+	})
 	sender := trace.NewCovertSender(key, keyLen, CovertPulse, 2, true)
-	sys, err := core.NewSystem(cfg, []trace.Source{sender})
+	res, err := Run{Config: cfg, Sources: []trace.Source{sender}, Cycles: cycles, Bus: true}.Do(ctx)
 	if err != nil {
 		return nil, err
 	}
-	mon := attack.NewBusMonitor(0)
-	sys.ReqNet.AddTap(mon.Observe)
-	if err := sys.RunContext(ctx, cycles); err != nil {
-		return nil, err
-	}
 
-	counts := mon.WindowCounts(0, CovertPulse, keyLen)
+	counts := res.Bus.WindowCounts(0, CovertPulse, keyLen)
 	dec := attack.DecodeCovertChannel(counts, sender.Bits())
 	return &KeyDistortionResult{
 		Key:           key,

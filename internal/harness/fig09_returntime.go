@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"camouflage/internal/attack"
-	"camouflage/internal/core"
-	"camouflage/internal/mem"
 	"camouflage/internal/obs"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
@@ -39,12 +37,30 @@ func ReturnTimeDifference(ctx context.Context, adversary string, cycles sim.Cycl
 		cycles = DefaultRunCycles
 	}
 
+	// probe runs w(adversary, victim), with RespC on the adversary core
+	// when respCfg is set, and returns the adversary's observable
+	// response-latency probe (request k paired with the k-th response it
+	// receives, fakes indistinguishable) and its measured response
+	// inter-arrival histogram. Each run carries its own obs label.
+	probe := func(victim string, respCfg *shaper.Config) (*attack.ResponseProbe, *stats.Histogram, error) {
+		cfg, scheme := seeded(4, seed), "frfcfs"
+		if respCfg != nil {
+			cfg, scheme = withRespC(cfg, *respCfg, 0), "respc"
+		}
+		ctx := obs.WithLabel(ctx, fmt.Sprintf("fig09/%s/%s", scheme, victim))
+		res, err := Run{Config: cfg, Benchmarks: mix(adversary, victim), TraceSeed: seed + 5, Cycles: cycles, Probe: true, RespHist: true}.Do(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		return res.Probe.AsResponseProbe(), res.RespHist, nil
+	}
+
 	// Unshaped runs: the baseline channel.
-	probeAstar, _, err := runWithResponseProbe(ctx, adversary, "astar", nil, cycles, seed)
+	probeAstar, _, err := probe("astar", nil)
 	if err != nil {
 		return nil, err
 	}
-	probeMcf, mcfHist, err := runWithResponseProbe(ctx, adversary, "mcf", nil, cycles, seed)
+	probeMcf, mcfHist, err := probe("mcf", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -57,11 +73,11 @@ func ReturnTimeDifference(ctx context.Context, adversary string, cycles sim.Cycl
 	// in the DRAM (§III-B3). Distribution-mode RespC variants are
 	// compared in the ablation benchmarks.
 	target := respCTarget(mcfHist)
-	probeAstarC, _, err := runWithResponseProbe(ctx, adversary, "astar", &target, cycles, seed)
+	probeAstarC, _, err := probe("astar", &target)
 	if err != nil {
 		return nil, err
 	}
-	probeMcfC, _, err := runWithResponseProbe(ctx, adversary, "mcf", &target, cycles, seed)
+	probeMcfC, _, err := probe("mcf", &target)
 	if err != nil {
 		return nil, err
 	}
@@ -101,52 +117,6 @@ func respCTarget(h *stats.Histogram) shaper.Config {
 		interval = shaper.DefaultWindow
 	}
 	return shaper.ConstantRate(stats.DefaultBinning(), interval, window, true)
-}
-
-// runWithResponseProbe runs w(adversary, victim), optionally with RespC on
-// the adversary core using respCfg, and returns the adversary's
-// observable response-latency probe (request k paired with the k-th
-// response it receives, fakes indistinguishable) plus its measured
-// response inter-arrival histogram.
-func runWithResponseProbe(ctx context.Context, adversary, victim string, respCfg *shaper.Config, cycles sim.Cycle, seed uint64) (*attack.ResponseProbe, *stats.Histogram, error) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	if respCfg != nil {
-		cfg.Scheme = core.RespC
-		sc := respCfg.Clone()
-		cfg.RespShaperCfg = &sc
-		cfg.RespShaperCores = []int{0}
-	}
-	srcs, err := Workload(adversary, victim, seed+5)
-	if err != nil {
-		return nil, nil, err
-	}
-	sys, err := core.NewSystem(cfg, srcs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if b := obs.FromContext(ctx); b != nil {
-		scheme := "frfcfs"
-		if respCfg != nil {
-			scheme = "respc"
-		}
-		sys.EnableObs(b, fmt.Sprintf("fig09/%s/%s", scheme, victim))
-	}
-	probe := attack.NewObservableProbe(0)
-	sys.ReqNet.AddTap(probe.ObserveRequest)
-	sys.RespNet.AddTap(probe.ObserveResponse)
-
-	rec := stats.NewInterArrivalRecorder(stats.DefaultBinning(), false)
-	sys.RespNet.AddTap(func(now sim.Cycle, req *mem.Request) {
-		if req.Core == 0 {
-			rec.Observe(now)
-		}
-	})
-
-	if err := sys.RunContext(ctx, cycles); err != nil {
-		return nil, nil, err
-	}
-	return probe.AsResponseProbe(), rec.Hist, nil
 }
 
 // Table renders the final accumulated differences.

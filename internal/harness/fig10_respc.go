@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"camouflage/internal/core"
-	"camouflage/internal/mem"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -46,21 +45,27 @@ func RespCPerformance(ctx context.Context, victim, targetVictim string, cycles s
 		cycles = DefaultRunCycles
 	}
 	res := &RespCPerformanceResult{Victim: victim, TargetVictim: targetVictim}
+	// run measures w(adv, victim) under cfg, recording the adversary's
+	// response inter-arrival histogram.
+	run := func(adv, victim string, cfg core.Config) (Result, error) {
+		return Run{Config: cfg, Benchmarks: mix(adv, victim), TraceSeed: seed + 5, Warmup: WarmupCycles, Cycles: cycles, RespHist: true}.Do(ctx)
+	}
+	unshaped := seeded(4, seed)
 	var advRatios, tpRatios []float64
 	for _, adv := range trace.BenchmarkNames() {
 		// Measure the target response distribution from w(adv, target).
-		_, targetHist, err := runRespCMeasured(ctx, adv, targetVictim, nil, cycles, seed)
+		measured, err := run(adv, targetVictim, unshaped)
 		if err != nil {
 			return nil, err
 		}
-		target := shaper.FromHistogram(targetHist, 4*shaper.DefaultWindow, 0, true)
+		target := shaper.FromHistogram(measured.RespHist, 4*shaper.DefaultWindow, 0, true)
 
 		// Baseline and shaped runs of w(adv, victim).
-		base, _, err := runRespCMeasured(ctx, adv, victim, nil, cycles, seed)
+		base, err := run(adv, victim, unshaped)
 		if err != nil {
 			return nil, err
 		}
-		shaped, _, err := runRespCMeasured(ctx, adv, victim, &target, cycles, seed)
+		shaped, err := run(adv, victim, withRespC(unshaped, target, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -83,39 +88,6 @@ func RespCPerformance(ctx context.Context, victim, targetVictim string, cycles s
 	res.GeoMeanAdv = stats.GeoMean(advRatios)
 	res.GeoMeanThroughput = stats.GeoMean(tpRatios)
 	return res, nil
-}
-
-// runRespCMeasured runs w(adversary, victim) with optional RespC on core 0
-// and returns the post-warmup run statistics and the adversary's response
-// inter-arrival histogram.
-func runRespCMeasured(ctx context.Context, adversary, victim string, respCfg *shaper.Config, cycles sim.Cycle, seed uint64) (runStats, *stats.Histogram, error) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	if respCfg != nil {
-		cfg.Scheme = core.RespC
-		sc := respCfg.Clone()
-		cfg.RespShaperCfg = &sc
-		cfg.RespShaperCores = []int{0}
-	}
-	srcs, err := Workload(adversary, victim, seed+5)
-	if err != nil {
-		return runStats{}, nil, err
-	}
-	sys, err := core.NewSystem(cfg, srcs)
-	if err != nil {
-		return runStats{}, nil, err
-	}
-	rec := stats.NewInterArrivalRecorder(stats.DefaultBinning(), false)
-	sys.RespNet.AddTap(func(now sim.Cycle, req *mem.Request) {
-		if req.Core == 0 {
-			rec.Observe(now)
-		}
-	})
-	rs, err := measureRun(ctx, sys, WarmupCycles, cycles)
-	if err != nil {
-		return runStats{}, nil, err
-	}
-	return rs, rec.Hist, nil
 }
 
 // Table renders the result in the paper's bar-chart layout.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"camouflage/internal/core"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -61,36 +60,21 @@ func DistributionAccuracy(ctx context.Context, cycles sim.Cycle, seed uint64) (*
 	desired := DesiredStaircase()
 	res := &DistributionAccuracyResult{Desired: append([]int(nil), desired.Credits...)}
 
+	cfg := withReqC(seeded(1, seed), desired)
 	for _, name := range trace.BenchmarkNames() {
-		cfg := core.DefaultConfig()
-		cfg.Cores = 1
-		cfg.Scheme = core.ReqC
-		sc := desired.Clone()
-		cfg.ReqShaperCfg = &sc
-		cfg.Seed = seed
-
-		srcs, err := SoloSource(name, seed+77)
+		run, err := Run{Config: cfg, Benchmarks: []string{name}, TraceSeed: seed + 77, Cycles: cycles}.Do(ctx)
 		if err != nil {
 			return nil, err
 		}
-		sys, err := core.NewSystem(cfg, srcs)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.RunContext(ctx, cycles); err != nil {
-			return nil, err
-		}
 
-		sh := sys.ReqShapers[0]
-		st := sh.Stats()
-		windows := float64(st.Replenishments)
+		windows := float64(run.ShaperStats.Replenishments)
 		if windows == 0 {
 			return nil, fmt.Errorf("harness: %s run too short for one window", name)
 		}
 		app := AppDistribution{
 			Name:               name,
-			IntrinsicPerWindow: perWindow(sh.Intrinsic.Hist, windows),
-			ShapedPerWindow:    perWindow(sh.Shaped.Hist, windows),
+			IntrinsicPerWindow: perWindow(run.ShaperIn.Hist, windows),
+			ShapedPerWindow:    perWindow(run.ShaperOut.Hist, windows),
 		}
 		for i, v := range app.ShapedPerWindow {
 			d := v - float64(res.Desired[i])

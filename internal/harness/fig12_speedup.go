@@ -3,9 +3,8 @@ package harness
 import (
 	"context"
 
-	"camouflage/internal/attack"
-	"camouflage/internal/core"
 	"camouflage/internal/ga"
+	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
 	"camouflage/internal/trace"
@@ -62,32 +61,34 @@ func ReqCSpeedup(ctx context.Context, cycles sim.Cycle, seed uint64) (*ReqCSpeed
 	for _, name := range trace.BenchmarkNames() {
 		// Pass 1: unshaped solo run measuring the intrinsic request
 		// distribution on the bus and the unshaped IPC.
-		cfg := core.DefaultConfig()
-		cfg.Cores = 1
-		cfg.Seed = seed
-		srcs, err := SoloSource(name, seed+13)
-		if err != nil {
-			return nil, err
-		}
-		sys, err := core.NewSystem(cfg, srcs)
-		if err != nil {
-			return nil, err
-		}
-		mon := attack.NewBusMonitor(0)
-		sys.ReqNet.AddTap(mon.Observe)
-		rsBase, err := measureRun(ctx, sys, WarmupCycles, cycles)
+		run := Run{Config: seeded(1, seed), Benchmarks: []string{name}, TraceSeed: seed + 13, Warmup: WarmupCycles, Cycles: cycles}
+		unshaped := run
+		unshaped.Bus = true
+		base, err := unshaped.Do(ctx)
 		if err != nil {
 			return nil, err
 		}
 
 		hist := stats.NewHistogram(stats.DefaultBinning())
-		for _, dt := range mon.InterArrivals() {
+		for _, dt := range base.Bus.InterArrivals() {
 			hist.Add(dt)
 		}
 
-		// Pass 2: constant-rate limiter at the bandwidth budget.
-		csCfg := shaperConstant(interval, window)
-		ipcCS, err := runShapedSolo(ctx, cfg, name, seed+13, csCfg, cycles)
+		// shapedIPC runs the benchmark under ReqC with sc.
+		shapedIPC := func(sc shaper.Config) (float64, error) {
+			r := run
+			r.Config = withReqC(run.Config, sc)
+			res, err := r.Do(ctx)
+			if err != nil {
+				return 0, err
+			}
+			return res.ipc(0), nil
+		}
+
+		// Pass 2: constant-rate limiter at the bandwidth budget (no fake
+		// traffic: this figure compares shaping flexibility, not
+		// camouflage overhead).
+		ipcCS, err := shapedIPC(shaper.ConstantRate(stats.DefaultBinning(), interval, window, false))
 		if err != nil {
 			return nil, err
 		}
@@ -95,22 +96,23 @@ func ReqCSpeedup(ctx context.Context, cycles sim.Cycle, seed uint64) (*ReqCSpeed
 		// Pass 3: ReqC with a GA-optimized distribution at the same
 		// per-window credit budget (the paper configures Camouflage's
 		// bins with its genetic algorithm, §IV-C). The measured
-		// intrinsic shape seeds the search.
+		// intrinsic shape seeds the search, as a genome and as a
+		// fake-free config whose credits follow it.
 		opts := DefaultGAOptions(budget)
 		opts.Window = window
-		opts.Seeds = []ga.Genome{histGenome(hist, budget), shaperFromHist(hist, window, budget).Credits}
-		camCfg, err := gaOptimizeSoloReqC(ctx, cfg, name, seed+13, opts)
+		opts.Seeds = []ga.Genome{histGenome(hist, budget), shaper.FromHistogram(hist, window, budget, false).Credits}
+		camCfg, err := gaOptimizeSoloReqC(ctx, run, opts)
 		if err != nil {
 			return nil, err
 		}
-		ipcCam, err := runShapedSolo(ctx, cfg, name, seed+13, camCfg, cycles)
+		ipcCam, err := shapedIPC(camCfg)
 		if err != nil {
 			return nil, err
 		}
 
 		row := SpeedupRow{
 			Name:          name,
-			IPCNoShape:    rsBase.ipc(0),
+			IPCNoShape:    base.ipc(0),
 			IPCConstant:   ipcCS,
 			IPCCamouflage: ipcCam,
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"camouflage/internal/core"
-	"camouflage/internal/mem"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -46,25 +45,28 @@ func BDCComparison(ctx context.Context, victim string, useGA bool, cycles sim.Cy
 	}
 	res := &BDCComparisonResult{Victim: victim}
 
-	// Solo IPCs (slowdown denominators), cached per benchmark.
+	// Solo IPCs (slowdown denominators), cached per benchmark: each
+	// benchmark alone on one core under FR-FCFS.
+	soloCfg := core.DefaultConfig()
+	soloCfg.Cores = 1
 	solo := map[string]float64{}
 	soloFor := func(name string) (float64, error) {
 		if v, ok := solo[name]; ok {
 			return v, nil
 		}
-		v, err := soloIPC(ctx, core.DefaultConfig(), name, seed+99, cycles)
+		r, err := Run{Config: soloCfg, Benchmarks: []string{name}, TraceSeed: seed + 99, Warmup: WarmupCycles, Cycles: cycles}.Do(ctx)
 		if err != nil {
 			return 0, err
 		}
-		solo[name] = v
-		return v, nil
+		solo[name] = r.ipc(0)
+		return solo[name], nil
 	}
 
 	var tps, fss, bdcs []float64
 	for _, adv := range trace.BenchmarkNames() {
 		row := BDCRow{Adversary: adv}
 
-		names := []string{adv, victim, victim, victim}
+		names := mix(adv, victim)
 		solos := make([]float64, len(names))
 		for i, n := range names {
 			sv, err := soloFor(n)
@@ -73,32 +75,29 @@ func BDCComparison(ctx context.Context, victim string, useGA bool, cycles sim.Cy
 			}
 			solos[i] = sv
 		}
-		avg := func(scheme string, rs runStats) (float64, error) {
-			return avgSlowdown(scheme, adv, names, solos, rs)
+		// slowdown measures w(adv, victim) under cfg and returns its
+		// average program slowdown.
+		slowdown := func(scheme string, cfg core.Config) (float64, error) {
+			r, err := Run{Config: cfg, Benchmarks: names, TraceSeed: seed + 5, Warmup: WarmupCycles, Cycles: cycles}.Do(ctx)
+			if err != nil {
+				return 0, err
+			}
+			return avgSlowdown(scheme, adv, names, solos, r)
 		}
 
 		// Temporal Partitioning.
-		tpCfg := core.DefaultConfig()
-		tpCfg.Seed = seed
+		tpCfg := seeded(4, seed)
 		tpCfg.Scheme = core.TP
-		rs, err := runWorkload(ctx, tpCfg, adv, victim, cycles, seed)
-		if err != nil {
-			return nil, err
-		}
-		if row.TP, err = avg("TP", rs); err != nil {
+		var err error
+		if row.TP, err = slowdown("TP", tpCfg); err != nil {
 			return nil, err
 		}
 
 		// Fixed Service with bank partitioning.
-		fsCfg := core.DefaultConfig()
-		fsCfg.Seed = seed
+		fsCfg := seeded(4, seed)
 		fsCfg.Scheme = core.FS
 		fsCfg.FSBankPartition = true
-		rs, err = runWorkload(ctx, fsCfg, adv, victim, cycles, seed)
-		if err != nil {
-			return nil, err
-		}
-		if row.FS, err = avg("FS", rs); err != nil {
+		if row.FS, err = slowdown("FS", fsCfg); err != nil {
 			return nil, err
 		}
 
@@ -107,11 +106,7 @@ func BDCComparison(ctx context.Context, victim string, useGA bool, cycles sim.Cy
 		if err != nil {
 			return nil, err
 		}
-		rs, err = runWorkload(ctx, bdcCfg, adv, victim, cycles, seed)
-		if err != nil {
-			return nil, err
-		}
-		if row.BDC, err = avg("BDC", rs); err != nil {
+		if row.BDC, err = slowdown("BDC", bdcCfg); err != nil {
 			return nil, err
 		}
 
@@ -131,7 +126,7 @@ func BDCComparison(ctx context.Context, victim string, useGA bool, cycles sim.Cy
 // with no shared IPC has no defined slowdown; it is an error naming the
 // scheme, adversary and core, never a 0 that would drag the geomean and
 // the headline down.
-func avgSlowdown(scheme, adv string, names []string, solo []float64, rs runStats) (float64, error) {
+func avgSlowdown(scheme, adv string, names []string, solo []float64, rs Result) (float64, error) {
 	var sum float64
 	for i, n := range names {
 		ipc := rs.ipc(i)
@@ -143,19 +138,6 @@ func avgSlowdown(scheme, adv string, names []string, solo []float64, rs runStats
 	return sum / float64(len(names)), nil
 }
 
-// runWorkload builds and measures one w(adversary, victim) system.
-func runWorkload(ctx context.Context, cfg core.Config, adversary, victim string, cycles sim.Cycle, seed uint64) (runStats, error) {
-	srcs, err := Workload(adversary, victim, seed+5)
-	if err != nil {
-		return runStats{}, err
-	}
-	sys, err := core.NewSystem(cfg, srcs)
-	if err != nil {
-		return runStats{}, err
-	}
-	return measureRun(ctx, sys, WarmupCycles, cycles)
-}
-
 // buildBDCConfig derives the BDC system configuration for w(adversary,
 // victim): per-core request shapers for the protected victims and a
 // response shaper for the adversary, with credits matching each core's own
@@ -165,42 +147,19 @@ func buildBDCConfig(ctx context.Context, adversary, victim string, useGA bool, c
 	window := 4 * shaper.DefaultWindow
 
 	// Measurement run: unshaped.
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	srcs, err := Workload(adversary, victim, seed+5)
+	measured, err := Run{Config: seeded(4, seed), Benchmarks: mix(adversary, victim), TraceSeed: seed + 5, Cycles: cycles / 2, RespHist: true, ReqHists: true}.Do(ctx)
 	if err != nil {
-		return core.Config{}, err
-	}
-	sys, err := core.NewSystem(cfg, srcs)
-	if err != nil {
-		return core.Config{}, err
-	}
-	reqRecs := make([]*stats.InterArrivalRecorder, cfg.Cores)
-	for i := range reqRecs {
-		reqRecs[i] = stats.NewInterArrivalRecorder(stats.DefaultBinning(), false)
-	}
-	respRec := stats.NewInterArrivalRecorder(stats.DefaultBinning(), false)
-	sys.ReqNet.AddTap(func(now sim.Cycle, req *mem.Request) {
-		reqRecs[req.Core].Observe(now)
-	})
-	sys.RespNet.AddTap(func(now sim.Cycle, req *mem.Request) {
-		if req.Core == 0 {
-			respRec.Observe(now)
-		}
-	})
-	if err := sys.RunContext(ctx, cycles/2); err != nil {
 		return core.Config{}, err
 	}
 
-	bdc := core.DefaultConfig()
-	bdc.Seed = seed
+	bdc := seeded(4, seed)
 	bdc.Scheme = core.BDC
 	bdc.PerCoreReqCfg = map[int]shaper.Config{}
 	for i := 1; i < bdc.Cores; i++ {
-		bdc.PerCoreReqCfg[i] = shaper.FromHistogram(reqRecs[i].Hist, window, 0, true)
+		bdc.PerCoreReqCfg[i] = shaper.FromHistogram(measured.ReqHists[i], window, 0, true)
 	}
 	bdc.PerCoreRespCfg = map[int]shaper.Config{
-		0: shaper.FromHistogram(respRec.Hist, window, 0, true),
+		0: shaper.FromHistogram(measured.RespHist, window, 0, true),
 	}
 	bdc.ReqShaperCores = []int{1, 2, 3}
 	bdc.RespShaperCores = []int{0}

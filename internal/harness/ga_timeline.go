@@ -146,15 +146,8 @@ func onlineBDCGA(ctx context.Context, sys *core.System, population, generations 
 // gaRefineBDC runs the online GA for a BDC workload and folds the best
 // configurations back into cfg.
 func gaRefineBDC(ctx context.Context, cfg *core.Config, adversary, victim string, seed uint64) error {
-	srcs, err := Workload(adversary, victim, seed+5)
+	sys, err := warmBDC(ctx, *cfg, adversary, victim, seed)
 	if err != nil {
-		return err
-	}
-	sys, err := core.NewSystem(*cfg, srcs)
-	if err != nil {
-		return err
-	}
-	if err := sys.RunContext(ctx, WarmupCycles); err != nil {
 		return err
 	}
 	_, reqCfgs, respCfgs, err := onlineBDCGA(ctx, sys, 12, 8, sys.Kernel.RNG().Fork())
@@ -164,6 +157,16 @@ func gaRefineBDC(ctx context.Context, cfg *core.Config, adversary, victim string
 	cfg.PerCoreReqCfg = reqCfgs
 	cfg.PerCoreRespCfg = respCfgs
 	return nil
+}
+
+// warmBDC builds w(adversary, victim) under cfg for the online GA and
+// runs it through the warmup.
+func warmBDC(ctx context.Context, cfg core.Config, adversary, victim string, seed uint64) (*core.System, error) {
+	sys, _, err := Run{Config: cfg, Benchmarks: mix(adversary, victim), TraceSeed: seed + 5}.Build(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return sys, sys.RunContext(ctx, WarmupCycles)
 }
 
 // GATimelineResult reproduces the Figure 8 operation report: the online
@@ -190,15 +193,8 @@ func GATimeline(ctx context.Context, adversary, victim string, population, gener
 	if err != nil {
 		return nil, err
 	}
-	srcs, err := Workload(adversary, victim, seed+5)
+	sys, err := warmBDC(ctx, cfg, adversary, victim, seed)
 	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(cfg, srcs)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.RunContext(ctx, WarmupCycles); err != nil {
 		return nil, err
 	}
 	startCycle := sys.Kernel.Now()

@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"camouflage/internal/core"
 	"camouflage/internal/ga"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
-	"camouflage/internal/trace"
+	"camouflage/internal/stats"
 )
 
 // GAEpochCycles is the per-child evaluation length the paper uses
@@ -41,21 +40,14 @@ func DefaultGAOptions(totalMax int) GAOptions {
 	}
 }
 
-// gaOptimizeSoloReqC searches request-shaper bin configurations for a
-// single benchmark running alone, maximizing its measured IPC at a fixed
-// per-window credit budget — the configuration step behind Figure 12.
-// It returns the best configuration found.
-func gaOptimizeSoloReqC(ctx context.Context, base core.Config, name string, seed uint64, opts GAOptions) (shaper.Config, error) {
-	cfg := base
-	cfg.Cores = 1
-	cfg.Scheme = core.ReqC
+// gaOptimizeSoloReqC searches request-shaper bin configurations for
+// run's single benchmark running alone, maximizing its measured IPC at a
+// fixed per-window credit budget — the configuration step behind Figure
+// 12. It returns the best configuration found.
+func gaOptimizeSoloReqC(ctx context.Context, run Run, opts GAOptions) (shaper.Config, error) {
 	start := DefaultShaperCfg(opts)
-	cfg.ReqShaperCfg = &start
-	srcs, err := SoloSource(name, seed)
-	if err != nil {
-		return shaper.Config{}, err
-	}
-	sys, err := core.NewSystem(cfg, srcs)
+	run.Config = withReqC(run.Config, start)
+	sys, _, err := run.Build(ctx)
 	if err != nil {
 		return shaper.Config{}, err
 	}
@@ -99,7 +91,7 @@ func gaOptimizeSoloReqC(ctx context.Context, base core.Config, name string, seed
 // DefaultShaperCfg builds an all-purpose starting configuration for the GA
 // with opts' window and budget: credits spread evenly across bins.
 func DefaultShaperCfg(opts GAOptions) shaper.Config {
-	b := statsBinning()
+	b := stats.DefaultBinning()
 	credits := make([]int, b.N())
 	total := opts.TotalMax
 	if total <= 0 {
@@ -143,10 +135,4 @@ func histGenome(hist interface{ PMF() []float64 }, budget int) ga.Genome {
 		g[i] = int(p*float64(budget) + 0.5)
 	}
 	return g
-}
-
-// profileExists reports whether name is a known benchmark.
-func profileExists(name string) bool {
-	_, err := trace.ProfileByName(name)
-	return err == nil
 }

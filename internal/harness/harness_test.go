@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"camouflage/internal/core"
 	"camouflage/internal/cpu"
+	"camouflage/internal/trace"
 )
 
 func TestWorkloadShape(t *testing.T) {
@@ -28,15 +31,60 @@ func TestWorkloadShape(t *testing.T) {
 func TestAvgSlowdownRejectsZeroIPC(t *testing.T) {
 	names := []string{"gcc", "mcf", "mcf", "mcf"}
 	solo := []float64{1, 1, 1, 1}
-	rs := runStats{perCore: []cpu.Stats{{Work: 50}, {Work: 50}, {Work: 0}, {Work: 50}}, cycles: 100}
+	rs := Result{Stats: []cpu.Stats{{Cycles: 100, Work: 50}, {Cycles: 100, Work: 50}, {Cycles: 100, Work: 0}, {Cycles: 100, Work: 50}}}
 	_, err := avgSlowdown("TP", "gcc", names, solo, rs)
 	if err == nil || !strings.Contains(err.Error(), "adversary gcc") || !strings.Contains(err.Error(), "core 2") {
 		t.Fatalf("zero-IPC core: err = %v, want one naming adversary gcc and core 2", err)
 	}
-	rs.perCore[2].Work = 25
+	rs.Stats[2].Work = 25
 	got, err := avgSlowdown("TP", "gcc", names, solo, rs)
 	if err != nil || got != 2.5 {
 		t.Fatalf("avgSlowdown = %v, %v; want 2.5 (mean of 2, 2, 4, 2)", got, err)
+	}
+}
+
+// TestEveryRunHeartbeats: every system an experiment simulates forwards
+// supervision-grid heartbeats to the sink in its context, so a supervisor
+// watching a job made only of unmeasured runs still sees it is alive.
+// Each run starts at cycle 0 and beats there, so the cycle-0 beats count
+// the runs that beat.
+func TestEveryRunHeartbeats(t *testing.T) {
+	cycles := core.SuperviseStride
+	for _, tc := range []struct {
+		name string
+		runs int
+		run  func(ctx context.Context) error
+	}{
+		{"DistributionAccuracy", len(trace.BenchmarkNames()), func(ctx context.Context) error {
+			_, err := DistributionAccuracy(ctx, cycles, 1)
+			return err
+		}},
+		{"MutualInformation", 5, func(ctx context.Context) error {
+			_, err := MutualInformation(ctx, "astar", cycles, 1)
+			return err
+		}},
+		{"ShapedDistributions", 4, func(ctx context.Context) error {
+			_, err := ShapedDistributions(ctx, "bzip", cycles, 1)
+			return err
+		}},
+		{"CovertChannel", 2, func(ctx context.Context) error {
+			_, err := CovertChannel(ctx, 0x5, 4, 1) // 6 pulses, above one stride
+			return err
+		}},
+	} {
+		beats, starts := 0, 0
+		ctx := core.WithHeartbeatFunc(context.Background(), func(hb core.Heartbeat) {
+			beats++
+			if hb.Cycle == 0 {
+				starts++
+			}
+		})
+		if err := tc.run(ctx); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if starts != tc.runs {
+			t.Errorf("%s: %d of %d runs heartbeat (%d beats in all)", tc.name, starts, tc.runs, beats)
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 
-	"camouflage/internal/attack"
-	"camouflage/internal/core"
 	"camouflage/internal/mi"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
@@ -56,32 +54,19 @@ func MutualInformation(ctx context.Context, adversary string, cycles sim.Cycle, 
 	// measures the protected core's demand, which sizes the shaped
 	// variants: shaping only transforms timing when the credit budget is
 	// at or below demand (a generous budget passes traffic undelayed).
-	var demandPerWindow float64
-	var intrinsic []sim.Cycle
-	{
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		srcs, err := Workload(adversary, protected, seed+3)
-		if err != nil {
-			return nil, err
-		}
-		sys, err := core.NewSystem(cfg, srcs)
-		if err != nil {
-			return nil, err
-		}
-		mon := attack.NewBusMonitor(1)
-		sys.ReqNet.AddTap(mon.Observe)
-		if err := sys.RunContext(ctx, cycles); err != nil {
-			return nil, err
-		}
-		intrinsic = mon.InterArrivals()
-		h := mi.SelfInformation(intrinsic, binning)
-		res.SelfInformation = h
-		res.Rows = append(res.Rows, MIRow{Scheme: "NoShaping", MI: h, Leakage: 1})
-		demandPerWindow = float64(mon.Count()) / float64(cycles) * float64(window)
+	run := Run{Config: seeded(4, seed), Benchmarks: mix(adversary, protected), TraceSeed: seed + 3, Cycles: cycles, Watch: 1}
+	unshaped := run
+	unshaped.Bus = true
+	base, err := unshaped.Do(ctx)
+	if err != nil {
+		return nil, err
 	}
+	intrinsic := base.Bus.InterArrivals()
+	res.SelfInformation = mi.SelfInformation(intrinsic, binning)
+	res.Rows = append(res.Rows, MIRow{Scheme: "NoShaping", MI: res.SelfInformation, Leakage: 1})
+	demandPerWindow := float64(base.Bus.Count()) / float64(cycles) * float64(window)
 
-	// The shaped distribution's budget: 80% of demand, so the release
+	// The shaped distribution's budget: half of demand, so the release
 	// pattern is dictated by the configuration rather than the workload.
 	budget := int(demandPerWindow * 0.5)
 	if budget < 2 {
@@ -101,11 +86,19 @@ func MutualInformation(ctx context.Context, adversary string, cycles sim.Cycle, 
 		{"CS (fake)", shaper.ConstantRate(stats.DefaultBinning(), interval, window, true)},
 		{"ReqC (fake)", withFake(DesiredStaircase(), true)},
 	}
+	// Each shaped run replays the identical trace seed, so index k of its
+	// bus-visible sequence refers to the same program point as index k
+	// of the intrinsic one: MI pairs them transaction by transaction,
+	// the paper's "before and after Camouflage" comparison.
 	for _, v := range variants {
-		m, err := measureShapedMI(ctx, adversary, protected, v.cfg, intrinsic, binning, cycles, seed)
+		shaped := run
+		shaped.Config = withReqC(run.Config, v.cfg, 1)
+		shaped.Shaped = true
+		r, err := shaped.Do(ctx)
 		if err != nil {
 			return nil, err
 		}
+		m := mi.SequenceMI(intrinsic, r.ShaperOut.Raw, binning)
 		res.Rows = append(res.Rows, MIRow{
 			Scheme:  v.name,
 			MI:      m,
@@ -138,35 +131,6 @@ func withFake(cfg shaper.Config, fake bool) shaper.Config {
 	c := cfg.Clone()
 	c.GenerateFake = fake
 	return c
-}
-
-// measureShapedMI runs w(adversary, protected) with ReqC on core 1 and
-// returns the MI between the workload's unshaped (intrinsic) inter-arrival
-// sequence and the bus-visible shaped one, paired transaction-by-
-// transaction — the paper's "before and after Camouflage" comparison. The
-// shaped run replays the identical trace seed, so index k refers to the
-// same program point in both sequences.
-func measureShapedMI(ctx context.Context, adversary, protected string, shCfg shaper.Config, intrinsic []sim.Cycle, binning stats.Binning, cycles sim.Cycle, seed uint64) (float64, error) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Scheme = core.ReqC
-	sc := shCfg.Clone()
-	cfg.ReqShaperCfg = &sc
-	cfg.ReqShaperCores = []int{1}
-	srcs, err := Workload(adversary, protected, seed+3)
-	if err != nil {
-		return 0, err
-	}
-	sys, err := core.NewSystem(cfg, srcs)
-	if err != nil {
-		return 0, err
-	}
-	sh := sys.ReqShapers[1]
-	sh.Shaped = stats.NewInterArrivalRecorder(binning, true)
-	if err := sys.RunContext(ctx, cycles); err != nil {
-		return 0, err
-	}
-	return mi.SequenceMI(intrinsic, sh.Shaped.Raw, binning), nil
 }
 
 // Table renders the result.

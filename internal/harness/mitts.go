@@ -8,7 +8,6 @@ import (
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
-	"camouflage/internal/trace"
 )
 
 // MITTSFairnessResult exercises the shaper hardware in its original MITTS
@@ -43,52 +42,33 @@ func MITTSFairness(ctx context.Context, cycles sim.Cycle, seed uint64) (*MITTSFa
 	names := []string{"libqt", "libqt", "astar", "astar"}
 	res := &MITTSFairnessResult{Workload: names}
 
+	// Solo IPCs: each benchmark alone on one core under FR-FCFS.
+	soloCfg := core.DefaultConfig()
+	soloCfg.Cores = 1
 	solo := map[string]float64{}
 	for _, n := range names {
 		if _, ok := solo[n]; ok {
 			continue
 		}
-		v, err := soloIPC(ctx, core.DefaultConfig(), n, seed+71, cycles)
+		r, err := Run{Config: soloCfg, Benchmarks: []string{n}, TraceSeed: seed + 71, Warmup: WarmupCycles, Cycles: cycles}.Do(ctx)
 		if err != nil {
 			return nil, err
 		}
-		solo[n] = v
-	}
-
-	build := func(shaped bool) (*core.System, error) {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		if shaped {
-			cfg.Scheme = core.ReqC
-			sc := mittsEqualShare()
-			cfg.ReqShaperCfg = &sc
-		}
-		rng := sim.NewRNG(seed + 71)
-		srcs := make([]trace.Source, len(names))
-		for i, n := range names {
-			p, err := trace.ProfileByName(n)
-			if err != nil {
-				return nil, err
-			}
-			if srcs[i], err = trace.NewGenerator(p, rng.Fork()); err != nil {
-				return nil, err
-			}
-		}
-		return core.NewSystem(cfg, srcs)
+		solo[n] = r.ipc(0)
 	}
 
 	measure := func(shaped bool) ([]float64, error) {
-		sys, err := build(shaped)
-		if err != nil {
-			return nil, err
+		cfg := seeded(4, seed)
+		if shaped {
+			cfg = withReqC(cfg, mittsEqualShare())
 		}
-		rs, err := measureRun(ctx, sys, WarmupCycles, cycles)
+		r, err := Run{Config: cfg, Benchmarks: names, TraceSeed: seed + 71, Warmup: WarmupCycles, Cycles: cycles}.Do(ctx)
 		if err != nil {
 			return nil, err
 		}
 		out := make([]float64, len(names))
 		for i, n := range names {
-			if ipc := rs.ipc(i); ipc > 0 {
+			if ipc := r.ipc(i); ipc > 0 {
 				out[i] = solo[n] / ipc
 			}
 		}

@@ -2,10 +2,10 @@ package harness
 
 import (
 	"context"
+	"strconv"
 
 	"camouflage/internal/attack"
 	"camouflage/internal/core"
-	"camouflage/internal/mem"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -48,22 +48,7 @@ func PhaseDetection(ctx context.Context, cycles sim.Cycle, seed uint64) (*PhaseD
 		cycles = DefaultRunCycles * 2
 	}
 
-	run := func(respCfg, reqCfg *shaper.Config) (attack.PhaseDetection, *stats.Histogram, error) {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		if respCfg != nil {
-			cfg.Scheme = core.RespC
-			sc := respCfg.Clone()
-			cfg.RespShaperCfg = &sc
-			cfg.RespShaperCores = []int{0}
-		}
-		if reqCfg != nil {
-			cfg.Scheme = core.ReqC
-			sc := reqCfg.Clone()
-			cfg.ReqShaperCfg = &sc
-			cfg.ReqShaperCores = []int{1, 2, 3}
-		}
-
+	run := func(cfg core.Config) (attack.PhaseDetection, *stats.Histogram, error) {
 		rng := sim.NewRNG(seed + 61)
 		busyP, err := trace.ProfileByName("mcf")
 		if err != nil {
@@ -97,41 +82,28 @@ func PhaseDetection(ctx context.Context, cycles sim.Cycle, seed uint64) (*PhaseD
 			truthSource = ps
 		}
 
-		sys, err := core.NewSystem(cfg, srcs)
+		res, err := Run{Config: cfg, Sources: srcs, Cycles: cycles, Probe: true, RespHist: true}.Do(ctx)
 		if err != nil {
 			return attack.PhaseDetection{}, nil, err
 		}
-		probe := attack.NewObservableProbe(0)
-		sys.ReqNet.AddTap(probe.ObserveRequest)
-		sys.RespNet.AddTap(probe.ObserveResponse)
-		rec := stats.NewInterArrivalRecorder(stats.DefaultBinning(), false)
-		sys.RespNet.AddTap(func(now sim.Cycle, req *mem.Request) {
-			if req.Core == 0 {
-				rec.Observe(now)
-			}
-		})
-		if err := sys.RunContext(ctx, cycles); err != nil {
-			return attack.PhaseDetection{}, nil, err
-		}
-
-		times, lats := probe.PairedLatencies()
+		times, lats := res.Probe.PairedLatencies()
 		det := attack.DetectPhases(times, lats, PhaseObservationWindow, truthSource.PhaseAt)
-		return det, rec.Hist, nil
+		return det, res.RespHist, nil
 	}
 
-	unprotected, hist, err := run(nil, nil)
+	base := seeded(4, seed)
+	unprotected, hist, err := run(base)
 	if err != nil {
 		return nil, err
 	}
-	target := respCTarget(hist)
-	protected, _, err := run(&target, nil)
+	protected, _, err := run(withRespC(base, respCTarget(hist), 0))
 	if err != nil {
 		return nil, err
 	}
 	// ReqC on the victims: a constant request cadence at their busy-phase
 	// rate, with fake requests keeping it up through quiet phases.
 	victimReqC := shaper.ConstantRate(stats.DefaultBinning(), 160, 4*shaper.DefaultWindow, true)
-	reqcProtected, _, err := run(nil, &victimReqC)
+	reqcProtected, _, err := run(withReqC(base, victimReqC, 1, 2, 3))
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +121,7 @@ func (r *PhaseDetectionResult) Table() *Table {
 		Columns: []string{"scheme", "windows", "accuracy", "mean latency (victim busy)", "mean latency (victim quiet)"},
 	}
 	add := func(name string, d attack.PhaseDetection) {
-		t.AddRow(name, f0(sim.Cycle(d.Windows)), f2(d.Accuracy), f2(d.MeanBusy), f2(d.MeanQuiet))
+		t.AddRow(name, strconv.Itoa(d.Windows), f2(d.Accuracy), f2(d.MeanBusy), f2(d.MeanQuiet))
 	}
 	add("FR-FCFS", r.Unprotected)
 	add("RespC (adversary)", r.Protected)

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"camouflage/internal/attack"
 	"camouflage/internal/check"
-	"camouflage/internal/core"
 	"camouflage/internal/fault"
 	"camouflage/internal/mi"
 	"camouflage/internal/sim"
@@ -102,12 +100,8 @@ func Robustness(ctx context.Context, cycles sim.Cycle, seed uint64) (*Robustness
 func robustnessRun(ctx context.Context, tc RobustnessCase, cycles sim.Cycle, seed uint64) (RobustnessRow, error) {
 	row := RobustnessRow{Fault: tc.Name, Checker: "-", MaxAbsDev: -1, MILeak: -1}
 
-	cfg := core.DefaultConfig()
-	cfg.Cores = 1
-	cfg.Scheme = core.ReqC
 	sc := DesiredStaircase()
-	cfg.ReqShaperCfg = &sc
-	cfg.Seed = seed
+	cfg := withReqC(seeded(1, seed), sc)
 
 	// The reference timing is captured before the perturbation so the
 	// protocol checker grades the hardware against the truth.
@@ -120,14 +114,12 @@ func robustnessRun(ctx context.Context, tc RobustnessCase, cycles sim.Cycle, see
 		return row, err
 	}
 	srcs[0] = inj.Corrupt(srcs[0])
-	sys, err := core.NewSystem(cfg, srcs)
+	sys, observed, err := Run{Config: cfg, Sources: srcs, Bus: true}.Build(ctx)
 	if err != nil {
 		return row, err
 	}
 	sys.InjectFaults(inj)
 	m := sys.EnableChecks(check.Options{ReferenceTiming: &ref, FlowMaxAge: 50_000})
-	busMon := attack.NewBusMonitor(0)
-	sys.ReqNet.AddTap(busMon.Observe)
 
 	// The run error (when a checker fires) is part of the measured
 	// outcome, not a harness failure.
@@ -168,7 +160,7 @@ func robustnessRun(ctx context.Context, tc RobustnessCase, cycles sim.Cycle, see
 	default:
 		// The fault must be absorbed: no violation, the shaped
 		// distribution still matches DESIRED, and the MI bound holds.
-		if row.MILeak, err = robustnessMILeak(ctx, tc, busMon.InterArrivals(), cycles, seed); err != nil {
+		if row.MILeak, err = robustnessMILeak(ctx, tc, observed.Bus.InterArrivals(), cycles, seed); err != nil {
 			return row, err
 		}
 		if row.Checker == "-" && runErr == nil &&
@@ -190,25 +182,17 @@ func robustnessRun(ctx context.Context, tc RobustnessCase, cycles sim.Cycle, see
 // with only TraceProb drawing from the injector RNG, both runs corrupt
 // the trace identically.
 func robustnessMILeak(ctx context.Context, tc RobustnessCase, observed []sim.Cycle, cycles sim.Cycle, seed uint64) (float64, error) {
-	cfg := core.DefaultConfig()
-	cfg.Cores = 1
-	cfg.Seed = seed
 	inj := fault.NewInjector(tc.Opt, sim.NewRNG(seed+99))
 	srcs, err := SoloSource("gcc", seed+77)
 	if err != nil {
 		return -1, err
 	}
 	srcs[0] = inj.Corrupt(srcs[0])
-	sys, err := core.NewSystem(cfg, srcs)
+	res, err := Run{Config: seeded(1, seed), Sources: srcs, Cycles: cycles, Bus: true}.Do(ctx)
 	if err != nil {
 		return -1, err
 	}
-	mon := attack.NewBusMonitor(0)
-	sys.ReqNet.AddTap(mon.Observe)
-	if err := sys.RunContext(ctx, cycles); err != nil {
-		return -1, err
-	}
-	intrinsic := mon.InterArrivals()
+	intrinsic := res.Bus.InterArrivals()
 	binning := MIBinning()
 	self := mi.SelfInformation(intrinsic, binning)
 	return mi.LeakageFraction(self, mi.SequenceMI(intrinsic, observed, binning)), nil

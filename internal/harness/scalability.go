@@ -5,11 +5,9 @@ import (
 	"fmt"
 
 	"camouflage/internal/core"
-	"camouflage/internal/mem"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
-	"camouflage/internal/trace"
 )
 
 // ScalabilityRow is one core-count measurement.
@@ -45,68 +43,56 @@ func Scalability(ctx context.Context, coreCounts []int, cycles sim.Cycle, seed u
 	}
 	// Light benchmarks: the point is scheduler overhead, not bandwidth
 	// saturation.
-	mix := []string{"h264ref", "gobmk", "hmmer", "sjeng"}
+	light := []string{"h264ref", "gobmk", "hmmer", "sjeng"}
 
 	res := &ScalabilityResult{}
 	for _, n := range coreCounts {
-		buildSources := func() ([]trace.Source, error) {
-			rng := sim.NewRNG(seed + uint64(n)*31)
-			srcs := make([]trace.Source, n)
-			for i := range srcs {
-				p, err := trace.ProfileByName(mix[i%len(mix)])
-				if err != nil {
-					return nil, err
-				}
-				if srcs[i], err = trace.NewGenerator(p, rng.Fork()); err != nil {
-					return nil, err
-				}
-			}
-			return srcs, nil
+		names := make([]string, n)
+		for i := range names {
+			names[i] = light[i%len(light)]
 		}
-
-		run := func(cfg core.Config) (runStats, error) {
-			srcs, err := buildSources()
-			if err != nil {
-				return runStats{}, err
-			}
-			sys, err := core.NewSystem(cfg, srcs)
-			if err != nil {
-				return runStats{}, err
-			}
-			return measureRun(ctx, sys, WarmupCycles, cycles)
+		run := Run{Benchmarks: names, TraceSeed: seed + uint64(n)*31, Warmup: WarmupCycles, Cycles: cycles}
+		measure := func(cfg core.Config) (Result, error) {
+			r := run
+			r.Config = cfg
+			return r.Do(ctx)
 		}
 
 		base := core.DefaultConfig()
 		base.Cores = n
-		baseRS, err := run(base)
+		baseRS, err := measure(base)
 		if err != nil {
 			return nil, err
 		}
 
 		tpCfg := base
 		tpCfg.Scheme = core.TP
-		tpRS, err := run(tpCfg)
+		tpRS, err := measure(tpCfg)
 		if err != nil {
 			return nil, err
 		}
 
 		brCfg := base
 		brCfg.Scheme = core.BR
-		brRS, err := run(brCfg)
+		brRS, err := measure(brCfg)
 		if err != nil {
 			return nil, err
 		}
 
-		// Camouflage: per-core ReqC at each core's own measured
-		// distribution (keep-rate with fake traffic).
-		camCfg := base
-		camCfg.Scheme = core.ReqC
-		perCore, err := measurePerCoreReqConfigs(ctx, base, buildSources, cycles/4)
+		// Camouflage: per-core ReqC at each core's own distribution
+		// (keep-rate with fake traffic), measured by a short unshaped
+		// run.
+		measured, err := Run{Config: base, Benchmarks: names, TraceSeed: run.TraceSeed, Cycles: cycles / 4, ReqHists: true}.Do(ctx)
 		if err != nil {
 			return nil, err
 		}
-		camCfg.PerCoreReqCfg = perCore
-		camRS, err := run(camCfg)
+		camCfg := base
+		camCfg.Scheme = core.ReqC
+		camCfg.PerCoreReqCfg = map[int]shaper.Config{}
+		for i, h := range measured.ReqHists {
+			camCfg.PerCoreReqCfg[i] = shaper.FromHistogram(h, 4*shaper.DefaultWindow, 0, true)
+		}
+		camRS, err := measure(camCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -130,35 +116,6 @@ func Scalability(ctx context.Context, coreCounts []int, cycles sim.Cycle, seed u
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// measurePerCoreReqConfigs runs the mix unshaped and derives a keep-rate
-// ReqC configuration per core.
-func measurePerCoreReqConfigs(ctx context.Context, base core.Config, buildSources func() ([]trace.Source, error), cycles sim.Cycle) (map[int]shaper.Config, error) {
-	srcs, err := buildSources()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(base, srcs)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]*stats.InterArrivalRecorder, base.Cores)
-	for i := range recs {
-		recs[i] = stats.NewInterArrivalRecorder(stats.DefaultBinning(), false)
-	}
-	sys.ReqNet.AddTap(func(now sim.Cycle, req *mem.Request) {
-		recs[req.Core].Observe(now)
-	})
-	if err := sys.RunContext(ctx, cycles); err != nil {
-		return nil, err
-	}
-	out := map[int]shaper.Config{}
-	window := 4 * shaper.DefaultWindow
-	for i, rec := range recs {
-		out[i] = shaper.FromHistogram(rec.Hist, window, 0, true)
-	}
-	return out, nil
 }
 
 // Table renders the result.

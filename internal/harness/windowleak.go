@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"camouflage/internal/attack"
-	"camouflage/internal/core"
 	"camouflage/internal/mi"
 	"camouflage/internal/sim"
-	"camouflage/internal/stats"
 )
 
 // WindowLeakRow is one (window, randomization) measurement.
@@ -43,24 +40,15 @@ func WithinWindowLeakage(ctx context.Context, benchmark string, windows []sim.Cy
 	binning := MIBinning()
 
 	// Intrinsic reference.
-	base := core.DefaultConfig()
-	base.Cores = 1
-	base.Seed = seed
-	srcs, err := SoloSource(benchmark, seed+53)
+	run := Run{Config: seeded(1, seed), Benchmarks: []string{benchmark}, TraceSeed: seed + 53, Cycles: cycles}
+	unshaped := run
+	unshaped.Bus = true
+	base, err := unshaped.Do(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystem(base, srcs)
-	if err != nil {
-		return nil, err
-	}
-	mon := attack.NewBusMonitor(0)
-	sys.ReqNet.AddTap(mon.Observe)
-	if err := sys.RunContext(ctx, cycles); err != nil {
-		return nil, err
-	}
-	intrinsic := mon.InterArrivals()
-	demandPerCycle := float64(mon.Count()) / float64(cycles)
+	intrinsic := base.Bus.InterArrivals()
+	demandPerCycle := float64(base.Bus.Count()) / float64(cycles)
 
 	res := &WindowLeakResult{Benchmark: benchmark}
 	for _, w := range windows {
@@ -73,29 +61,18 @@ func WithinWindowLeakage(ctx context.Context, benchmark string, windows []sim.Cy
 			cfg.GenerateFake = false
 			cfg.RandomizeWithinBin = randomized
 
-			c := core.DefaultConfig()
-			c.Cores = 1
-			c.Seed = seed
-			c.Scheme = core.ReqC
-			c.ReqShaperCfg = &cfg
-			srcs, err := SoloSource(benchmark, seed+53)
+			shaped := run
+			shaped.Config = withReqC(run.Config, cfg)
+			shaped.Shaped = true
+			r, err := shaped.Do(ctx)
 			if err != nil {
 				return nil, err
 			}
-			s, err := core.NewSystem(c, srcs)
-			if err != nil {
-				return nil, err
-			}
-			s.ReqShapers[0].Shaped = stats.NewInterArrivalRecorder(binning, true)
-			if err := s.RunContext(ctx, cycles); err != nil {
-				return nil, err
-			}
-			st := s.CoreStats(0)
 			res.Rows = append(res.Rows, WindowLeakRow{
 				Window:     w,
 				Randomized: randomized,
-				MI:         mi.SequenceMI(intrinsic, s.ReqShapers[0].Shaped.Raw, binning),
-				IPC:        st.IPC(),
+				MI:         mi.SequenceMI(intrinsic, r.ShaperOut.Raw, binning),
+				IPC:        r.ipc(0),
 			})
 		}
 	}
