@@ -328,9 +328,6 @@ func TestServeAttemptAssignmentTable(t *testing.T) {
 	}
 }
 
-// TestProcessIsolationUnknownJobFatal: a supervisor whose job list holds
-// a job the worker's list lacks gets the worker's protocol refusal, and
-// the job fails fatally on its first attempt instead of burning retries.
 // TestHeartbeatCyclesOrderedAcrossSystems: a job that runs several
 // systems restarts the simulated clock with each one. The writer's cycle
 // continues from the previous system's last grid point instead, so the
@@ -349,6 +346,9 @@ func TestHeartbeatCyclesOrderedAcrossSystems(t *testing.T) {
 	}
 }
 
+// TestProcessIsolationUnknownJobFatal: a supervisor whose job list holds
+// a job the worker's list lacks gets the worker's protocol refusal, and
+// the job fails fatally on its first attempt instead of burning retries.
 func TestProcessIsolationUnknownJobFatal(t *testing.T) {
 	checkGoroutines(t)
 	opt := procOpts(t)

@@ -47,14 +47,12 @@ func BDCComparison(ctx context.Context, victim string, useGA bool, cycles sim.Cy
 
 	// Solo IPCs (slowdown denominators), cached per benchmark: each
 	// benchmark alone on one core under FR-FCFS.
-	soloCfg := core.DefaultConfig()
-	soloCfg.Cores = 1
 	solo := map[string]float64{}
 	soloFor := func(name string) (float64, error) {
 		if v, ok := solo[name]; ok {
 			return v, nil
 		}
-		r, err := Run{Config: soloCfg, Benchmarks: []string{name}, TraceSeed: seed + 99, Warmup: WarmupCycles, Cycles: cycles}.Do(ctx)
+		r, err := soloRun(name, seed+99, cycles).Do(ctx)
 		if err != nil {
 			return 0, err
 		}

@@ -1,7 +1,8 @@
 // Package harness reproduces the paper's evaluation: one runner per table
 // and figure, each simulating the workloads of §IV-A as Runs (run.go)
-// and reporting the same rows or series the paper plots. The per-experiment index lives in DESIGN.md; measured
-// results against the paper's are recorded in EXPERIMENTS.md.
+// and reporting the same rows or series the paper plots. The
+// per-experiment index lives in DESIGN.md; measured results against the
+// paper's are recorded in EXPERIMENTS.md.
 package harness
 
 import (

@@ -7,6 +7,8 @@ import (
 
 	"camouflage/internal/core"
 	"camouflage/internal/cpu"
+	"camouflage/internal/obs"
+	"camouflage/internal/sim"
 	"camouflage/internal/trace"
 )
 
@@ -84,6 +86,39 @@ func TestEveryRunHeartbeats(t *testing.T) {
 		}
 		if starts != tc.runs {
 			t.Errorf("%s: %d of %d runs heartbeat (%d beats in all)", tc.name, starts, tc.runs, beats)
+		}
+	}
+}
+
+// TestShapedRunsPublishObs: the experiments that read the request
+// shaper's raw output also run with an obs bundle in their context, whose
+// drift gauges compare that output's histogram with the shaper's target.
+func TestShapedRunsPublishObs(t *testing.T) {
+	cycles := core.SuperviseStride
+	ctx := obs.NewContext(context.Background(), &obs.Bundle{Registry: obs.NewRegistry()})
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"MutualInformation", func() error {
+			_, err := MutualInformation(ctx, "astar", cycles, 1)
+			return err
+		}},
+		{"WithinWindowLeakage", func() error {
+			_, err := WithinWindowLeakage(ctx, "bzip", []sim.Cycle{1024}, cycles, 1)
+			return err
+		}},
+		{"TradeoffSpace", func() error {
+			_, err := TradeoffSpace(ctx, "bzip", cycles, 1)
+			return err
+		}},
+		{"EpochRateComparison", func() error {
+			_, err := EpochRateComparison(ctx, "bzip", cycles, 1)
+			return err
+		}},
+	} {
+		if err := tc.run(); err != nil {
+			t.Errorf("%s under an obs bundle: %v", tc.name, err)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"camouflage/internal/core"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -43,14 +42,12 @@ func MITTSFairness(ctx context.Context, cycles sim.Cycle, seed uint64) (*MITTSFa
 	res := &MITTSFairnessResult{Workload: names}
 
 	// Solo IPCs: each benchmark alone on one core under FR-FCFS.
-	soloCfg := core.DefaultConfig()
-	soloCfg.Cores = 1
 	solo := map[string]float64{}
 	for _, n := range names {
 		if _, ok := solo[n]; ok {
 			continue
 		}
-		r, err := Run{Config: soloCfg, Benchmarks: []string{n}, TraceSeed: seed + 71, Warmup: WarmupCycles, Cycles: cycles}.Do(ctx)
+		r, err := soloRun(n, seed+71, cycles).Do(ctx)
 		if err != nil {
 			return nil, err
 		}

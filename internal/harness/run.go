@@ -44,8 +44,8 @@ type Run struct {
 	RespHist bool
 	// ReqHists records every core's request inter-arrival histogram.
 	ReqHists bool
-	// Shaped replaces Watch's request-shaper output recorder with a raw
-	// one over MIBinning, for mutual-information measurement.
+	// Shaped keeps the raw inter-arrivals of Watch's request-shaper
+	// output (Result.ShaperOut.Raw), for mutual-information measurement.
 	Shaped bool
 }
 
@@ -144,7 +144,7 @@ func (r Run) Build(ctx context.Context) (*core.System, Result, error) {
 		})
 	}
 	if r.Shaped {
-		sys.ReqShapers[w].Shaped = stats.NewInterArrivalRecorder(MIBinning(), true)
+		sys.ReqShapers[w].Shaped.KeepRaw = true
 	}
 	sys.EnableObs(obs.FromContext(ctx), obs.Label(ctx))
 	sys.SetHeartbeat(core.HeartbeatFuncFromContext(ctx))
@@ -201,6 +201,14 @@ func seeded(cores int, seed uint64) core.Config {
 	cfg.Cores = cores
 	cfg.Seed = seed
 	return cfg
+}
+
+// soloRun is a slowdown denominator: the named benchmark alone on one
+// core of the default system, measured after a warmup.
+func soloRun(name string, traceSeed uint64, cycles sim.Cycle) Run {
+	cfg := core.DefaultConfig()
+	cfg.Cores = 1
+	return Run{Config: cfg, Benchmarks: []string{name}, TraceSeed: traceSeed, Warmup: WarmupCycles, Cycles: cycles}
 }
 
 // withReqC returns cfg under ReqC with sc on the given cores (all when
