@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz-seeds fuzz experiments campaign-smoke obs-smoke ckpt-smoke chaos-soak worker-smoke paper-digest bench-kernel bench-kernel-check
+.PHONY: ci fmt vet build test race fuzz-seeds fuzz experiments campaign-smoke obs-smoke ckpt-smoke chaos-soak worker-smoke paper-digest camsim-digest bench-kernel bench-kernel-check
 
 ci: fmt vet build race fuzz-seeds
 
@@ -57,6 +57,12 @@ obs-smoke:
 # hash to the paper-regen seed-1 digest in perfbench/digests.json.
 paper-digest:
 	./scripts/paper_digest.sh
+
+# Byte-identity guard for camsim: a fixed set of runs (every scheme's
+# shaper set-up, both example scenarios, a replayed trace, link faults)
+# must hash, stdout plus exit code, to scripts/camsim_digests.txt.
+camsim-digest:
+	./scripts/camsim_digest.sh
 
 # Kernel throughput benchmark: measures simulated cycles per second per
 # shaping scheme with the idle fast path on and forced off, and rewrites

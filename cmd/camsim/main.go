@@ -18,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -29,7 +28,6 @@ import (
 	"camouflage/internal/check"
 	"camouflage/internal/ckpt"
 	"camouflage/internal/core"
-	"camouflage/internal/dram"
 	"camouflage/internal/fault"
 	"camouflage/internal/harness"
 	"camouflage/internal/iofault"
@@ -39,7 +37,6 @@ import (
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
-	"camouflage/internal/trace"
 )
 
 // runOpts carries the supervision, observability and checkpoint flags
@@ -66,17 +63,6 @@ type runOpts struct {
 	hb *campaign.HeartbeatWriter
 }
 
-// fs returns the filesystem checkpoint/resume I/O should use: the
-// injector when armed, the real filesystem otherwise. (Returning the
-// injector only when non-nil keeps a typed-nil *Injector out of the FS
-// interface.)
-func (o runOpts) fs() iofault.FS {
-	if o.ioInj == nil {
-		return iofault.OS
-	}
-	return o.ioInj
-}
-
 func main() {
 	workload := flag.String("workload", "gcc,astar,astar,astar", "comma-separated benchmark list, one per core")
 	schemeName := flag.String("scheme", "noshaping", "noshaping, cs, tp, fs, reqc, respc, bdc, br")
@@ -86,12 +72,7 @@ func main() {
 	faultsSpec := flag.String("faults", "", "fault injection: drop=P,dup=P,delay=P[:cycles],trace=P,timing (empty = none)")
 	watchdog := flag.Bool("watchdog", false, "enable runtime invariant checking (credit ledger, flow conservation, DRAM protocol, forward-progress watchdog)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the run, e.g. 30s (0 = none)")
-	obsAddr := flag.String("obs-addr", "", "serve live introspection (/metrics, expvar, pprof) on this address, e.g. localhost:6060")
-	traceOut := flag.String("trace-out", "", "write request-lifecycle traces to PATH.json (Chrome trace_event) and PATH.jsonl (span log)")
-	traceSample := flag.Uint64("trace-sample", 64, "trace 1 in N requests, chosen deterministically from -seed (1 = all)")
-	sloSpec := flag.String("slo", "", "security SLO rules evaluated on the supervision grid, e.g. 'drift_l1>0.15:3' (comma-separated metric>max[:sustain])")
-	alertsOut := flag.String("alerts", "", "with -slo: write alert transitions as JSONL to this file (same-seed runs are byte-identical)")
-	historyOut := flag.String("history-out", "", "write the metric time-series history as JSON to this file at run end")
+	obsCLI := obs.RegisterFlags(flag.CommandLine)
 	ckptDir := flag.String("checkpoint-dir", "", "write periodic crash-safe checkpoints into this directory (keeps the newest 2)")
 	ckptEvery := flag.Uint64("checkpoint-every", 100_000, "simulated cycles between automatic checkpoints (with -checkpoint-dir)")
 	resumeFrom := flag.String("resume-from", "", "resume from this checkpoint file, or the newest valid checkpoint in this directory; -cycles is the total, so the run covers only the remainder")
@@ -101,18 +82,14 @@ func main() {
 	stallTimeout := flag.Duration("stall-timeout", campaign.DefaultStallTimeout, "with -isolation=process: escalate a worker with no heartbeat for this long (SIGTERM, then SIGKILL)")
 	flag.Parse()
 
-	memBytes, merr := campaign.ParseBytes(*memLimit)
-	if merr != nil {
-		fmt.Fprintln(os.Stderr, "camsim:", merr)
-		os.Exit(1)
-	}
+	memBytes, err := campaign.ParseBytes(*memLimit)
+	exitOn(err)
 	switch campaign.Isolation(*isolation) {
 	case campaign.IsolationProcess:
 		os.Exit(superviseSelf(*stallTimeout, memBytes, *ckptDir, *resumeFrom))
 	case campaign.IsolationInProc, "":
 	default:
-		fmt.Fprintf(os.Stderr, "camsim: unknown -isolation mode %q (inproc or process)\n", *isolation)
-		os.Exit(1)
+		exitOn(fmt.Errorf("unknown -isolation mode %q (inproc or process)", *isolation))
 	}
 
 	opts := runOpts{
@@ -124,97 +101,31 @@ func main() {
 		hb:         workerHeartbeats(),
 	}
 	if *ioFaultsSpec != "" {
-		iopt, perr := iofault.ParseSpec(*ioFaultsSpec)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "camsim:", perr)
-			os.Exit(1)
-		}
+		iopt, err := iofault.ParseSpec(*ioFaultsSpec)
+		exitOn(err)
 		opts.ioInj = iofault.NewInjector(iopt)
 	}
 
-	// Observability: registry + optional tracer on the measured system
-	// (probe/measurement pre-runs stay uninstrumented), plus the fleet
-	// telemetry plane — time-series history and SLO alerts. All handles
-	// are nil-safe; camsim exits through os.Exit, so teardown is
-	// explicit. Under -isolation=process the re-exec'd child
-	// carries these same flags, so alert logs and history dumps come from
-	// the measuring process either way and same-seed runs stay
-	// byte-identical across isolation modes.
-	var (
-		tracer     *obs.Tracer
-		srv        *obs.Server
-		monitor    *obs.SLOMonitor
-		alertsFile *os.File
-		err        error
-	)
-	if *obsAddr != "" || *traceOut != "" || *sloSpec != "" || *historyOut != "" {
-		reg := obs.NewRegistry()
-		if *traceOut != "" {
-			if tracer, err = obs.NewTracer(*traceOut, *traceSample, *seed); err != nil {
-				fmt.Fprintln(os.Stderr, "camsim:", err)
-				os.Exit(1)
-			}
-		}
-		var hist *obs.History
-		if *historyOut != "" || *obsAddr != "" {
-			hist = obs.NewHistory(obs.HistoryOpts{})
-		}
-		if *sloSpec != "" {
-			rules, perr := obs.ParseSLOSpec(*sloSpec)
-			if perr != nil {
-				fmt.Fprintln(os.Stderr, "camsim:", perr)
-				os.Exit(1)
-			}
-			var sink io.Writer
-			if *alertsOut != "" {
-				if alertsFile, err = os.Create(*alertsOut); err != nil {
-					fmt.Fprintln(os.Stderr, "camsim:", err)
-					os.Exit(1)
-				}
-				sink = alertsFile
-			}
-			monitor = obs.NewSLOMonitor(rules, reg, sink)
-		}
-		opts.obs = &obs.Bundle{Registry: reg, Tracer: tracer, History: hist, Alerts: monitor}
-		if *obsAddr != "" {
-			srv = &obs.Server{Registry: reg, History: hist, Alerts: monitor, Faults: opts.ioInj}
-			addr, aerr := srv.Serve(*obsAddr)
-			if aerr != nil {
-				fmt.Fprintln(os.Stderr, "camsim:", aerr)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "obs: serving /metrics /metrics/history /alerts /debug/vars /debug/pprof on http://%s\n", addr)
-		}
-	}
+	// Observability instruments the measured system only (the shaper
+	// measurement stays bare). Under -isolation=process the re-exec'd
+	// child carries the same flags, so alert logs and history dumps come
+	// from the measuring process and stay byte-identical across modes.
+	opts.obs, err = obsCLI.Start(*seed, false)
+	exitOn(err)
+	exitOn(obsCLI.Serve(&obs.Server{Faults: opts.ioInj}))
 
 	if opts.faults, err = fault.ParseSpec(*faultsSpec); err == nil {
+		var sp spec
 		if *scenarioPath != "" {
-			err = runScenario(*scenarioPath, sim.Cycle(*cycles), opts)
+			sp, err = fromScenario(*scenarioPath, sim.Cycle(*cycles))
 		} else {
-			err = run(*workload, *schemeName, sim.Cycle(*cycles), *seed, opts)
+			sp, err = fromWorkload(*workload, *schemeName, *seed, sim.Cycle(*cycles))
+		}
+		if err == nil {
+			err = reportRun(sp, opts)
 		}
 	}
-	// Graceful teardown: in-flight scrapes get a bounded grace period,
-	// then the server hard-closes.
-	sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-	srv.Shutdown(sctx)
-	scancel()
-	if cerr := tracer.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if *historyOut != "" && opts.obs != nil {
-		if derr := writeHistory(*historyOut, opts.obs.History); derr != nil && err == nil {
-			err = derr
-		}
-	}
-	if alertsFile != nil {
-		if serr := monitor.SinkErr(); serr != nil && err == nil {
-			err = fmt.Errorf("alert log: %w", serr)
-		}
-		if cerr := alertsFile.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
+	err = errors.Join(err, obsCLI.Close())
 	if opts.ioInj != nil {
 		// Stats go to stderr so chaos runs keep stdout byte-comparable to
 		// clean runs.
@@ -223,78 +134,55 @@ func main() {
 	if opts.hb != nil {
 		opts.hb.Emit(campaign.FrameDone)
 	}
+	exitOn(err)
+}
+
+// exitOn prints err and exits with status 1, when err is set.
+func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "camsim:", err)
 		os.Exit(1)
 	}
 }
 
-// writeHistory dumps the full time-series store (no prefix filter, raw
-// series) to path. DumpJSON is nil-safe, so a run that never armed the
-// store still writes the valid empty document.
-func writeHistory(path string, hist *obs.History) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err = hist.DumpJSON(f, "", ""); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// spec is the run -workload or -scenario describes: the system
+// configuration, each core's workload name (see scenario.Sources), the
+// obs label, the report header and the total cycle count.
+type spec struct {
+	cfg           core.Config
+	names         []string
+	label, header string
+	cycles        sim.Cycle
 }
 
-// runScenario loads, builds and reports a declarative scenario. The
-// scenario's own cycle count wins over the flag when set. Link-level
-// faults, the watchdog and the deadline apply; trace corruption and
-// timing perturbation need construction-time hooks and are only
-// available on the -workload path.
-func runScenario(path string, cycles sim.Cycle, opts runOpts) error {
+// fromScenario loads a declarative scenario. The scenario's own cycle
+// count wins over the flag when set.
+func fromScenario(path string, cycles sim.Cycle) (spec, error) {
 	s, err := scenario.LoadFile(path)
 	if err != nil {
-		return err
+		return spec{}, err
 	}
 	if s.Cycles > 0 {
 		cycles = sim.Cycle(s.Cycles)
 	}
-	names := make([]string, len(s.Cores))
-	for i, c := range s.Cores {
-		names[i] = c.Workload
-	}
-	// Assembly is a closure so a failed checkpoint restore can fall back
-	// to a clean, freshly built system.
-	build := func() (*core.System, *fault.Injector, error) {
-		sys, err := s.Build()
-		if err != nil {
-			return nil, nil, err
-		}
-		var inj *fault.Injector
-		if opts.faults.NoCEnabled() {
-			inj = fault.NewInjector(opts.faults, sim.NewRNG(s.Seed+99))
-			sys.InjectFaults(inj)
-		}
-		sys.EnableObs(opts.obs, "scenario/"+s.Name)
-		supervise(sys, nil, opts)
-		return sys, inj, nil
-	}
-	return reportRun(build, names, cycles, fmt.Sprintf("scenario=%s scheme=%s", s.Name, s.Scheme), opts)
+	cfg, err := s.Config()
+	return spec{cfg, s.Names(), "scenario/" + s.Name, fmt.Sprintf("scenario=%s scheme=%s", s.Name, s.Scheme), cycles}, err
 }
 
-func run(workload, schemeName string, cycles sim.Cycle, seed uint64, opts runOpts) error {
+// fromWorkload describes the -workload list under -scheme. Shaping
+// schemes need configurations; RespC and BDC derive theirs from a short
+// unshaped measurement run so the shaped distributions match each core's
+// own traffic.
+func fromWorkload(workload, schemeName string, seed uint64, cycles sim.Cycle) (spec, error) {
 	names := strings.Split(workload, ",")
 	scheme, err := scenario.ParseScheme(schemeName)
 	if err != nil {
-		return err
+		return spec{}, err
 	}
-
 	cfg := core.DefaultConfig()
 	cfg.Cores = len(names)
 	cfg.Seed = seed
 	cfg.Scheme = scheme
-
-	// Shaping schemes need configurations; derive them from a short
-	// unshaped measurement run so the shaped distributions match each
-	// core's own traffic.
 	switch scheme {
 	case core.CS:
 		sc := shaper.ConstantRate(stats.DefaultBinning(), harness.BandwidthInterval(1e9), 4*shaper.DefaultWindow, true)
@@ -303,57 +191,49 @@ func run(workload, schemeName string, cycles sim.Cycle, seed uint64, opts runOpt
 		sc := harness.DesiredStaircase()
 		cfg.ReqShaperCfg = &sc
 	case core.RespC, core.BDC:
-		if err := deriveShapers(&cfg, names, seed, cycles/4); err != nil {
-			return err
-		}
+		err = deriveShapers(&cfg, names, cycles/4)
 	}
-
-	// Assembly is a closure (sources, fault injector and system are all
-	// rebuilt together) so a failed checkpoint restore can fall back to a
-	// clean start. The reference timing is captured before the fault
-	// perturbation so the protocol checker validates against the truth.
-	ref := cfg.Timing
-	build := func() (*core.System, *fault.Injector, error) {
-		sources, err := buildSources(names, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		runCfg := cfg
-		var inj *fault.Injector
-		if opts.faults.Enabled() {
-			inj = fault.NewInjector(opts.faults, sim.NewRNG(seed+99))
-			runCfg.Timing = inj.PerturbTiming(runCfg.Timing)
-			for i := range sources {
-				sources[i] = inj.Corrupt(sources[i])
-			}
-		}
-		sys, err := core.NewSystem(runCfg, sources)
-		if err != nil {
-			return nil, nil, err
-		}
-		if inj != nil {
-			sys.InjectFaults(inj)
-		}
-		sys.EnableObs(opts.obs, schemeName)
-		supervise(sys, &ref, opts)
-		return sys, inj, nil
-	}
-	return reportRun(build, names, cycles, fmt.Sprintf("scheme=%v", scheme), opts)
+	return spec{cfg, names, schemeName, fmt.Sprintf("scheme=%v", scheme), cycles}, err
 }
 
-// supervise applies the -watchdog and -deadline flags to a built system
-// and, in a re-exec'd worker, hooks the simulation's supervision grid
-// into the heartbeat pipe.
-func supervise(sys *core.System, ref *dram.Timing, opts runOpts) {
+// build assembles sp's system under the fault, watchdog, deadline, obs
+// and heartbeat flags. Each call builds sources, injector and system
+// afresh, so a failed checkpoint restore can fall back to a clean start.
+// The protocol checker validates against sp's unperturbed timing.
+func (sp spec) build(opts runOpts) (*core.System, *fault.Injector, error) {
+	sources, err := scenario.Sources(sp.names, sp.cfg.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := sp.cfg
+	var inj *fault.Injector
+	if opts.faults.Enabled() {
+		inj = fault.NewInjector(opts.faults, sim.NewRNG(cfg.Seed+99))
+		cfg.Timing = inj.PerturbTiming(cfg.Timing)
+		for i := range sources {
+			sources[i] = inj.Corrupt(sources[i])
+		}
+	}
+	ctx := obs.WithLabel(obs.NewContext(context.Background(), opts.obs), sp.label)
+	if opts.hb != nil {
+		// In a re-exec'd worker, the supervision grid feeds the
+		// heartbeat pipe.
+		ctx = core.WithHeartbeatFunc(ctx, opts.hb.Beat)
+	}
+	sys, _, err := harness.Run{Config: cfg, Sources: sources}.Build(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	if inj != nil {
+		sys.InjectFaults(inj)
+	}
 	if opts.watchdog {
-		sys.EnableChecks(check.Options{ReferenceTiming: ref})
+		sys.EnableChecks(check.Options{ReferenceTiming: &sp.cfg.Timing})
 	}
 	if opts.deadline > 0 {
 		sys.SetDeadline(opts.deadline)
 	}
-	if opts.hb != nil {
-		sys.SetHeartbeat(opts.hb.Beat)
-	}
+	return sys, inj, nil
 }
 
 // attachLatency installs per-core latency probes and returns them both
@@ -390,16 +270,24 @@ func loadResume(fsys iofault.FS, from string) (ckpt.Header, []byte, string, erro
 // prints the per-core and system report. A supervised-run failure is
 // reported after whatever statistics accumulated. -cycles is the total
 // simulated length: a resumed run covers only the remainder.
-func reportRun(build func() (*core.System, *fault.Injector, error), names []string, cycles sim.Cycle, header string, opts runOpts) error {
-	sys, inj, err := build()
+func reportRun(sp spec, opts runOpts) error {
+	cycles := sp.cycles
+	sys, inj, err := sp.build(opts)
 	if err != nil {
 		return err
 	}
 	latencies, extras := attachLatency(sys)
 
+	// The chaos layer, when armed, covers every checkpoint and resume
+	// file operation. (Assigning the injector only when non-nil keeps a
+	// typed-nil *Injector out of the FS interface.)
+	var fsys iofault.FS = iofault.OS
+	if opts.ioInj != nil {
+		fsys = opts.ioInj
+	}
 	remaining := cycles
 	if opts.resumeFrom != "" {
-		h, payload, path, lerr := loadResume(opts.fs(), opts.resumeFrom)
+		h, payload, path, lerr := loadResume(fsys, opts.resumeFrom)
 		switch {
 		case lerr == nil:
 			if rerr := sys.RestoreState(h, payload, extras...); rerr != nil {
@@ -408,7 +296,7 @@ func reportRun(build func() (*core.System, *fault.Injector, error), names []stri
 				}
 				// The half-restored system is tainted; rebuild clean.
 				fmt.Fprintf(os.Stderr, "camsim: checkpoint %s unusable (%v); starting clean\n", path, rerr)
-				if sys, inj, err = build(); err != nil {
+				if sys, inj, err = sp.build(opts); err != nil {
 					return err
 				}
 				latencies, extras = attachLatency(sys)
@@ -431,25 +319,21 @@ func reportRun(build func() (*core.System, *fault.Injector, error), names []stri
 		if every <= 0 {
 			every = core.SuperviseStride
 		}
-		pol := core.CheckpointPolicy{Dir: opts.ckptDir, Every: every, Keep: 2, Extras: extras}
-		if opts.ioInj != nil {
-			pol.FS = opts.ioInj
-		}
-		sys.SetCheckpointPolicy(pol)
+		sys.SetCheckpointPolicy(core.CheckpointPolicy{Dir: opts.ckptDir, Every: every, Keep: 2, Extras: extras, FS: fsys})
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	runErr := sys.RunContext(ctx, remaining)
 	stop()
 
-	fmt.Printf("%s cycles=%d\n\n", header, cycles)
+	fmt.Printf("%s cycles=%d\n\n", sp.header, cycles)
 	fmt.Printf("%-6s %-10s %8s %10s %10s %10s %10s %8s %8s %8s\n",
 		"core", "workload", "IPC", "refs", "responses", "memstall", "shapstall", "p50", "p95", "p99")
 	for i, c := range sys.Cores {
 		st := c.Stats()
 		lat := latencies[i]
 		fmt.Printf("%-6d %-10s %8.3f %10d %10d %10d %10d %8.0f %8.0f %8.0f\n",
-			i, names[i], st.IPC(), st.Refs, st.Responses, st.MemStallCycles, st.ShaperStallCycles,
+			i, sp.names[i], st.IPC(), st.Refs, st.Responses, st.MemStallCycles, st.ShaperStallCycles,
 			lat.Percentile(50), lat.Percentile(95), lat.Percentile(99))
 	}
 	cs := sys.Channel.Stats()
@@ -479,70 +363,29 @@ func reportRun(build func() (*core.System, *fault.Injector, error), names []stri
 	return runErr
 }
 
-// buildSources resolves each workload name to either a benchmark profile
-// generator or, when the name is a readable recorded-trace file (as
-// produced by tracecap), a looping replay of that trace.
-func buildSources(names []string, seed uint64) ([]trace.Source, error) {
-	rng := sim.NewRNG(seed + 17)
-	sources := make([]trace.Source, len(names))
-	for i, raw := range names {
-		n := strings.TrimSpace(raw)
-		if f, err := os.Open(n); err == nil {
-			entries, rerr := trace.ReadTrace(f)
-			f.Close()
-			if rerr != nil {
-				return nil, fmt.Errorf("%s: %w", n, rerr)
-			}
-			sources[i] = trace.NewLoopSource(entries)
-			continue
-		}
-		p, err := trace.ProfileByName(n)
-		if err != nil {
-			return nil, err
-		}
-		if sources[i], err = trace.NewGenerator(p, rng.Fork()); err != nil {
-			return nil, err
-		}
-	}
-	return sources, nil
-}
-
 // deriveShapers measures each core's unshaped distributions and installs
 // matching shaper configurations: request shapers on every core but core 0
 // and a response shaper on core 0 (the protected/adversary split used
 // throughout the paper's evaluation).
-func deriveShapers(cfg *core.Config, names []string, seed uint64, measureCycles sim.Cycle) error {
+func deriveShapers(cfg *core.Config, names []string, measureCycles sim.Cycle) error {
+	sources, err := scenario.Sources(names, cfg.Seed)
+	if err != nil {
+		return err
+	}
 	probe := *cfg
 	probe.Scheme = core.NoShaping
-	sources, err := buildSources(names, seed)
+	res, err := harness.Run{Config: probe, Sources: sources, ReqHists: true, RespHist: true, Cycles: measureCycles}.Do(context.Background())
 	if err != nil {
-		return err
+		return fmt.Errorf("shaper measurement: %w", err)
 	}
-	sys, err := core.NewSystem(probe, sources)
-	if err != nil {
-		return err
-	}
-	reqRecs := make([]*stats.InterArrivalRecorder, len(names))
-	for i := range reqRecs {
-		reqRecs[i] = stats.NewInterArrivalRecorder(stats.DefaultBinning(), false)
-	}
-	respRec := stats.NewInterArrivalRecorder(stats.DefaultBinning(), false)
-	sys.ReqNet.AddTap(func(now sim.Cycle, req *mem.Request) { reqRecs[req.Core].Observe(now) })
-	sys.RespNet.AddTap(func(now sim.Cycle, req *mem.Request) {
-		if req.Core == 0 {
-			respRec.Observe(now)
-		}
-	})
-	sys.Run(measureCycles)
-
 	window := 4 * shaper.DefaultWindow
-	cfg.PerCoreRespCfg = map[int]shaper.Config{0: shaper.FromHistogram(respRec.Hist, window, 0, true)}
+	cfg.PerCoreRespCfg = map[int]shaper.Config{0: shaper.FromHistogram(res.RespHist, window, 0, true)}
 	cfg.RespShaperCores = []int{0}
 	if cfg.Scheme == core.BDC {
 		cfg.PerCoreReqCfg = map[int]shaper.Config{}
 		var reqCores []int
 		for i := 1; i < len(names); i++ {
-			cfg.PerCoreReqCfg[i] = shaper.FromHistogram(reqRecs[i].Hist, window, 0, true)
+			cfg.PerCoreReqCfg[i] = shaper.FromHistogram(res.ReqHists[i], window, 0, true)
 			reqCores = append(reqCores, i)
 		}
 		cfg.ReqShaperCores = reqCores

@@ -1,57 +1,37 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
-	"camouflage/internal/sim"
-	"camouflage/internal/trace"
+	"camouflage/internal/fault"
 )
 
-func TestBuildSourcesProfiles(t *testing.T) {
-	srcs, err := buildSources([]string{"mcf", " astar "}, 1)
-	if err != nil || len(srcs) != 2 {
-		t.Fatalf("buildSources: %v, %d sources", err, len(srcs))
-	}
-	if _, err := buildSources([]string{"not-a-benchmark"}, 1); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-}
-
-func TestBuildSourcesReplaysTraceFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "w.trace")
-	p, err := trace.ProfileByName("gcc")
+// TestScenarioAppliesEveryFaultClass: a -scenario run takes trace
+// corruption and timing perturbation from -faults like a -workload run,
+// instead of dropping them silently.
+func TestScenarioAppliesEveryFaultClass(t *testing.T) {
+	sp, err := fromScenario("../../examples/scenarios/covert-defense.json", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := trace.NewGenerator(p, sim.NewRNG(3))
+	faults, err := fault.ParseSpec("trace=0.2,timing")
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := trace.Capture(gen, 100)
-	f, err := os.Create(path)
+	sys, inj, err := sp.build(runOpts{faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteTrace(f, entries); err != nil {
+	if inj == nil {
+		t.Fatal("scenario run built no fault injector for trace=0.2,timing")
+	}
+	if got, ref := sys.Channel.Timing(), sp.cfg.Timing; got == ref {
+		t.Fatalf("DRAM timing not perturbed: %+v equals the reference", got)
+	}
+	if err := sys.Run(20_000); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	srcs, err := buildSources([]string{path}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := srcs[0].Next()
-	if !ok || e != entries[0] {
-		t.Fatalf("replay head %+v, want %+v", e, entries[0])
-	}
-	// A corrupt file must error rather than fall back silently.
-	bad := filepath.Join(dir, "bad.trace")
-	os.WriteFile(bad, []byte("CAMTgarbage"), 0o644)
-	if _, err := buildSources([]string{bad}, 1); err == nil {
-		t.Fatal("corrupt trace accepted")
+	if inj.Stats().Corrupted == 0 {
+		t.Fatal("no trace entry corrupted at trace=0.2")
 	}
 }

@@ -44,7 +44,7 @@ func soakWorkerJobs() []campaign.Job {
 			Spec: fmt.Sprintf("cycles=%d", total),
 			Run: func(ctx context.Context, attempt int) (*harness.Table, error) {
 				if campaign.InWorker() && attempt == 1 {
-					sys, err := soakSystem(ctx)
+					sys, err := buildSystem(ctx)
 					if err != nil {
 						return nil, err
 					}
@@ -60,26 +60,10 @@ func soakWorkerJobs() []campaign.Job {
 	}
 }
 
-// soakSystem builds the soak's reference system with checkpointing and
-// heartbeats wired from the job context.
-func soakSystem(ctx context.Context) (*core.System, error) {
-	sys, err := buildSystem()
-	if err != nil {
-		return nil, err
-	}
-	if dir, ok := campaign.CheckpointDir(ctx); ok {
-		sys.SetCheckpointPolicy(core.CheckpointPolicy{Dir: dir, Every: core.SuperviseStride})
-	}
-	if fn := core.HeartbeatFuncFromContext(ctx); fn != nil {
-		sys.SetHeartbeat(fn)
-	}
-	return sys, nil
-}
-
 // runSoakSim is the clean path: resume from the latest checkpoint if one
 // survives, run to total, and render a deterministic table.
 func runSoakSim(ctx context.Context, name string, total sim.Cycle) (*harness.Table, error) {
-	sys, err := soakSystem(ctx)
+	sys, err := buildSystem(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -42,8 +42,7 @@ import (
 	"camouflage/internal/harness"
 	"camouflage/internal/iofault"
 	"camouflage/internal/obs"
-	"camouflage/internal/sim"
-	"camouflage/internal/trace"
+	"camouflage/internal/scenario"
 )
 
 func main() {
@@ -274,7 +273,7 @@ func (s *soak) corruptOne(ck string) {
 // cleanSystemState runs the in-process reference simulation once and
 // returns its encoded final state.
 func cleanSystemState() ([]byte, error) {
-	sys, err := buildSystem()
+	sys, err := buildSystem(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -292,21 +291,23 @@ func soakConfig() core.Config {
 	return cfg
 }
 
-func buildSystem() (*core.System, error) {
+// buildSystem builds the soak's reference system, armed with the
+// heartbeat sink and obs bundle ctx carries and, inside a campaign job,
+// checkpointing into the job's directory.
+func buildSystem(ctx context.Context) (*core.System, error) {
 	cfg := soakConfig()
-	names := []string{"gcc", "astar"}
-	rng := sim.NewRNG(cfg.Seed + 17)
-	sources := make([]trace.Source, len(names))
-	for i, n := range names {
-		p, err := trace.ProfileByName(n)
-		if err != nil {
-			return nil, err
-		}
-		if sources[i], err = trace.NewGenerator(p, rng.Fork()); err != nil {
-			return nil, err
-		}
+	sources, err := scenario.Sources([]string{"gcc", "astar"}, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	return core.NewSystem(cfg, sources)
+	sys, _, err := harness.Run{Config: cfg, Sources: sources}.Build(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if dir, ok := campaign.CheckpointDir(ctx); ok {
+		sys.SetCheckpointPolicy(core.CheckpointPolicy{Dir: dir, Every: core.SuperviseStride})
+	}
+	return sys, nil
 }
 
 func encodeState(sys *core.System) ([]byte, error) {
@@ -341,7 +342,7 @@ func (s *soak) ckptDegradation(iterSeed uint64) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	sys, err := buildSystem()
+	sys, err := buildSystem(context.Background())
 	if err != nil {
 		return err
 	}

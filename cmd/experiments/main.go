@@ -24,9 +24,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -66,12 +66,7 @@ func main() {
 	resume := flag.Bool("resume", false, "skip jobs already completed in -journal")
 	grace := flag.Duration("grace", 30*time.Second, "how long in-flight jobs may finish after SIGINT/SIGTERM")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none)")
-	obsAddr := flag.String("obs-addr", "", "serve live introspection (/metrics, /metrics/history, /alerts, /jobs, expvar, pprof) on this address, e.g. localhost:6060")
-	traceOut := flag.String("trace-out", "", "write request-lifecycle traces to PATH.json (Chrome trace_event) and PATH.jsonl (span log)")
-	traceSample := flag.Uint64("trace-sample", 64, "trace 1 in N requests, chosen deterministically from -seed (1 = all)")
-	sloSpec := flag.String("slo", "", "security SLO rules, e.g. 'drift_l1>0.15:3' (comma-separated metric>max[:sustain]); process-isolated workers evaluate them on their own grids and forward alerts")
-	alertsOut := flag.String("alerts", "", "with -slo: write alert transitions as JSONL to this file")
-	historyOut := flag.String("history-out", "", "write the campaign's metric time-series history as JSON to this file at exit")
+	obsCLI := obs.RegisterFlags(flag.CommandLine)
 	progressEvery := flag.Duration("progress", 0, "print a one-line campaign progress report to stderr at this interval (0 = off)")
 	isolation := flag.String("isolation", "inproc", "job execution mode: inproc (jobs run in this process) or process (each attempt runs in a re-exec'd worker supervised for liveness)")
 	memLimit := flag.String("mem-limit", "", "with -isolation=process: kill and retry a worker whose RSS exceeds this (e.g. 2GiB; empty = no ceiling)")
@@ -87,23 +82,13 @@ func main() {
 	}
 
 	selected, err := suite.Select(exps, *run)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
+	exitOn(err)
 	memBytes, err := campaign.ParseBytes(*memLimit)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	exitOn(err)
 	var workerCmd []string
 	if campaign.Isolation(*isolation) == campaign.IsolationProcess {
-		exe, eerr := os.Executable()
-		if eerr != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", eerr)
-			os.Exit(2)
-		}
+		exe, err := os.Executable()
+		exitOn(err)
 		// Workers re-parse the supervisor's exact arguments so
 		// buildExperiments produces the same specs on both sides.
 		workerCmd = append([]string{exe, campaign.WorkerFlag}, os.Args[1:]...)
@@ -112,19 +97,12 @@ func main() {
 	var journal *campaign.Journal
 	if *journalPath != "" {
 		journal, err = campaign.OpenJournal(*journalPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		exitOn(err)
 		if !*resume {
-			if err := journal.Reset(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
+			exitOn(journal.Reset())
 		}
 	} else if *resume {
-		fmt.Fprintln(os.Stderr, "experiments: -resume requires -journal")
-		os.Exit(2)
+		exitOn(errors.New("experiments: -resume requires -journal"))
 	}
 
 	// SIGINT/SIGTERM cancel the campaign: the pool stops handing out
@@ -133,89 +111,32 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Observability: one shared metrics registry and (optionally) a
-	// lifecycle tracer, carried to every experiment through the context —
-	// plus the fleet telemetry plane: a time-series history and an SLO
-	// monitor. In-process jobs feed them directly on their supervision
-	// grids; process-isolated workers run their own monitors and the
-	// supervisor merges their metric deltas and alerts under
-	// worker.<jobhash>. prefixes. Everything below is nil-safe, so the
-	// zero-flag path pays nothing.
+	// Observability: one bundle carried to every experiment through the
+	// context. In-process jobs feed it on their supervision grids;
+	// process-isolated workers run their own monitors and the supervisor
+	// merges their metric deltas and alerts under worker.<jobhash>.
+	// prefixes. -progress needs the registry too.
+	bundle, err := obsCLI.Start(*seed, *progressEvery > 0)
+	exitOn(err)
 	var (
-		reg        *obs.Registry
-		hist       *obs.History
-		monitor    *obs.SLOMonitor
-		alertsFile *os.File
-		tracer     *obs.Tracer
-		progress   *campaign.Progress
+		progress *campaign.Progress
+		reg      *obs.Registry
+		hist     *obs.History
+		monitor  *obs.SLOMonitor
 	)
-	if *obsAddr != "" || *traceOut != "" || *progressEvery > 0 || *sloSpec != "" || *historyOut != "" {
-		reg = obs.NewRegistry()
+	if bundle != nil {
+		reg, hist, monitor = bundle.Registry, bundle.History, bundle.Alerts
 		progress = campaign.NewProgress(reg)
+		ctx = obs.NewContext(ctx, bundle)
 	}
-	if *historyOut != "" || *obsAddr != "" {
-		hist = obs.NewHistory(obs.HistoryOpts{})
-	}
-	if *sloSpec != "" {
-		rules, perr := obs.ParseSLOSpec(*sloSpec)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, perr)
-			os.Exit(2)
-		}
-		var sink io.Writer
-		if *alertsOut != "" {
-			if alertsFile, err = os.Create(*alertsOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			sink = alertsFile
-		}
-		monitor = obs.NewSLOMonitor(rules, reg, sink)
-	}
-	if *traceOut != "" {
-		if tracer, err = obs.NewTracer(*traceOut, *traceSample, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	if reg != nil {
-		ctx = obs.NewContext(ctx, &obs.Bundle{Registry: reg, Tracer: tracer, History: hist, Alerts: monitor})
-	}
-	srv := &obs.Server{Registry: reg, History: hist, Alerts: monitor,
-		Jobs: func() any { return progress.JobsSnapshot() }}
-	if *obsAddr != "" {
-		addr, aerr := srv.Serve(*obsAddr)
-		if aerr != nil {
-			fmt.Fprintln(os.Stderr, aerr)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics /metrics/history /alerts /jobs /debug/vars /debug/pprof on http://%s\n", addr)
-	}
+	exitOn(obsCLI.Serve(&obs.Server{Jobs: func() any { return progress.JobsSnapshot() }}))
 	reporter := obs.StartProgress(os.Stderr, *progressEvery, progress.Line)
 	// main exits through os.Exit, which skips defers; every path below
 	// funnels through closeObs before exiting.
 	closeObs := func() {
 		reporter.Stop()
-		// Graceful teardown: in-flight scrapes get a bounded grace
-		// period, then the server hard-closes.
-		sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-		srv.Shutdown(sctx)
-		scancel()
-		if cerr := tracer.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "obs:", cerr)
-		}
-		if *historyOut != "" {
-			if herr := writeHistory(*historyOut, hist); herr != nil {
-				fmt.Fprintln(os.Stderr, "obs:", herr)
-			}
-		}
-		if alertsFile != nil {
-			if serr := monitor.SinkErr(); serr != nil {
-				fmt.Fprintln(os.Stderr, "obs: alert log:", serr)
-			}
-			if cerr := alertsFile.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "obs:", cerr)
-			}
+		if err := obsCLI.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "obs:", err)
 		}
 	}
 
@@ -236,7 +157,7 @@ func main() {
 		Registry:      reg,
 		History:       hist,
 		Alerts:        monitor,
-		SLO:           *sloSpec,
+		SLO:           obsCLI.SLO,
 		Log:           func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 	})
 	if err != nil {
@@ -258,19 +179,12 @@ func main() {
 	}
 }
 
-// writeHistory dumps the full time-series store (no prefix filter, raw
-// series) to path. DumpJSON is nil-safe, so a history-less run still
-// writes the valid empty document.
-func writeHistory(path string, hist *obs.History) error {
-	f, err := os.Create(path)
+// exitOn prints err and exits with status 2, when err is set.
+func exitOn(err error) {
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	if _, err = hist.DumpJSON(f, "", ""); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // emit prints every selected experiment's table in canonical order

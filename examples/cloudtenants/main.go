@@ -7,12 +7,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
-	"camouflage/internal/attack"
 	"camouflage/internal/core"
 	"camouflage/internal/harness"
-	"camouflage/internal/mem"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -53,33 +52,21 @@ func run(victim string, respCfg *shaper.Config) (float64, *stats.Histogram) {
 		cfg.RespShaperCfg = &sc
 		cfg.RespShaperCores = []int{0}
 	}
-	srcs, err := harness.Workload("gcc", victim, 7)
+	res, err := harness.Run{
+		Config:     cfg,
+		Benchmarks: []string{"gcc", victim, victim, victim},
+		TraceSeed:  7,
+		Watch:      0,
+		Probe:      true,
+		RespHist:   true,
+		Cycles:     cycles,
+	}.Do(context.Background())
 	if err != nil {
 		panic(err)
 	}
-	sys, err := core.NewSystem(cfg, srcs)
-	if err != nil {
-		panic(err)
+	var lat stats.Summary
+	for _, l := range res.Probe.Latencies() {
+		lat.Add(float64(l))
 	}
-
-	probe := attack.NewObservableProbe(0)
-	sys.ReqNet.AddTap(probe.ObserveRequest)
-	sys.RespNet.AddTap(probe.ObserveResponse)
-	rec := stats.NewInterArrivalRecorder(stats.DefaultBinning(), false)
-	sys.RespNet.AddTap(func(now sim.Cycle, req *mem.Request) {
-		if req.Core == 0 {
-			rec.Observe(now)
-		}
-	})
-
-	sys.Run(cycles)
-	lats := probe.Latencies()
-	var sum float64
-	for _, l := range lats {
-		sum += float64(l)
-	}
-	if len(lats) == 0 {
-		return 0, rec.Hist
-	}
-	return sum / float64(len(lats)), rec.Hist
+	return lat.Mean(), res.RespHist
 }

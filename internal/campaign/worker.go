@@ -21,6 +21,7 @@ import (
 	"camouflage/internal/core"
 	"camouflage/internal/harness"
 	"camouflage/internal/obs"
+	"camouflage/internal/sim"
 )
 
 // Worker protocol
@@ -207,10 +208,8 @@ type HeartbeatWriter struct {
 	every     time.Duration
 	last      time.Time
 	lastCycle uint64
-	// sysCycle is the current system's latest grid cycle; base sums the
-	// final grid cycles of the systems before it.
-	sysCycle, base uint64
-	broken         bool
+	clock     obs.Timeline
+	broken    bool
 	// tracker / monitor, when set, piggyback metric deltas and SLO
 	// alerts on every emitted frame. Deltas are computed only at emission
 	// (not per Beat), so throttled-away grid points lose no increments.
@@ -239,18 +238,14 @@ func NewHeartbeatWriter(sink func(HeartbeatFrame) error, every time.Duration) *H
 }
 
 // Beat records a supervision-grid heartbeat, emitting a frame if the
-// throttle interval has elapsed. A beat behind the previous one comes
-// from the next system of a job that runs several, which restarts its
-// clock at cycle 0: the frame cycle continues from the previous system's
-// instead, so the supervisor's metric history stays in cycle order.
+// throttle interval has elapsed. Frame cycles run on an obs.Timeline: a
+// job that runs several systems restarts the clock at cycle 0 for each,
+// and the frame cycle continues from the previous system's instead, so
+// the supervisor's metric history stays in cycle order.
 func (w *HeartbeatWriter) Beat(hb core.Heartbeat) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if hb.Cycle < w.sysCycle {
-		w.base += w.sysCycle
-	}
-	w.sysCycle = hb.Cycle
-	w.lastCycle = w.base + hb.Cycle
+	w.lastCycle = uint64(w.clock.At(sim.Cycle(hb.Cycle)))
 	if w.sink == nil || w.broken || time.Since(w.last) < w.every {
 		return
 	}

@@ -24,13 +24,6 @@ const WarmupCycles sim.Cycle = 50_000
 // AdversaryName labels the adversary slot in workload reports.
 const AdversaryName = "ADVERSARY"
 
-// Workload builds the paper's w(ADVERSARY, victim) mix: the adversary
-// benchmark on core 0 and three copies of the victim benchmark on cores
-// 1–3, each with an independent deterministic stream derived from seed.
-func Workload(adversary, victim string, seed uint64) ([]trace.Source, error) {
-	return Run{Benchmarks: mix(adversary, victim), TraceSeed: seed}.sources()
-}
-
 // SoloSource builds a single-benchmark source list for a 1-core system.
 func SoloSource(name string, seed uint64) ([]trace.Source, error) {
 	return Run{Benchmarks: []string{name}, TraceSeed: seed}.sources()

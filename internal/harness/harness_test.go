@@ -13,17 +13,20 @@ import (
 )
 
 func TestWorkloadShape(t *testing.T) {
-	srcs, err := Workload("gcc", "astar", 1)
+	workload := func(adversary, victim string) ([]trace.Source, error) {
+		return Run{Benchmarks: mix(adversary, victim), TraceSeed: 1}.sources()
+	}
+	srcs, err := workload("gcc", "astar")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(srcs) != 4 {
 		t.Fatalf("workload has %d sources", len(srcs))
 	}
-	if _, err := Workload("nope", "astar", 1); err == nil {
+	if _, err := workload("nope", "astar"); err == nil {
 		t.Fatal("unknown adversary accepted")
 	}
-	if _, err := Workload("gcc", "nope", 1); err == nil {
+	if _, err := workload("gcc", "nope"); err == nil {
 		t.Fatal("unknown victim accepted")
 	}
 }

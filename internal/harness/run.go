@@ -23,7 +23,7 @@ type Run struct {
 	Config core.Config
 	// Benchmarks names each core's benchmark, generated from TraceSeed.
 	// A lone benchmark takes TraceSeed's stream itself (as SoloSource
-	// does); several fork one child stream per core (as Workload does).
+	// does); several fork one child stream per core.
 	Benchmarks []string
 	// Sources, when set, replaces Benchmarks with explicit streams.
 	// Sources are stateful, so such a Run runs once.

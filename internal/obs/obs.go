@@ -27,6 +27,7 @@ package obs
 
 import (
 	"context"
+	"sync"
 
 	"camouflage/internal/sim"
 )
@@ -40,19 +41,45 @@ type Bundle struct {
 	Tracer   *Tracer
 	History  *History
 	Alerts   *SLOMonitor
+
+	mu    sync.Mutex // serializes GridSample across systems
+	clock Timeline
 }
 
 // GridSample is the supervision-grid hook: the core loop calls it right
 // after publishing pull gauges on each grid point, from the simulation
 // goroutine, so history capture and SLO evaluation see identical
-// (cycle, value) sequences across same-seed runs. Nil-safe and free
-// when neither a history store nor a monitor is installed.
+// (cycle, value) sequences across same-seed runs. Every system sharing
+// the bundle samples on one Timeline, so a job that runs several still
+// records in cycle order. Nil-safe and free when neither a history
+// store nor a monitor is installed.
 func (b *Bundle) GridSample(cycle sim.Cycle) {
 	if b == nil || (b.History == nil && b.Alerts == nil) {
 		return
 	}
-	b.History.Capture(b.Registry, cycle)
-	b.Alerts.Check(b.Registry, cycle)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	at := b.clock.At(cycle)
+	b.History.Capture(b.Registry, at)
+	b.Alerts.Check(b.Registry, at)
+}
+
+// Timeline maps the cycles of successive systems onto one
+// non-decreasing cycle: a cycle behind the last comes from the next
+// system, whose clock restarted at 0, and continues from the last.
+type Timeline struct {
+	// last is the current system's last cycle; base sums the last
+	// cycles of the systems before it.
+	last, base sim.Cycle
+}
+
+// At returns cycle's place on the timeline and records it.
+func (t *Timeline) At(cycle sim.Cycle) sim.Cycle {
+	if cycle < t.last {
+		t.base += t.last
+	}
+	t.last = cycle
+	return t.base + cycle
 }
 
 type ctxKey struct{}

@@ -405,6 +405,33 @@ func TestContextBundleAndLabel(t *testing.T) {
 	}
 }
 
+// TestGridSampleContinuesAcrossSystems: the second system sharing a
+// bundle restarts its clock at 0, and its samples continue from the
+// first system's last cycle, so the history runs forward. A sample is
+// O(1) and allocates nothing once its series exist.
+func TestGridSampleContinuesAcrossSystems(t *testing.T) {
+	reg := NewRegistry()
+	g := reg.Gauge("core.0.depth")
+	hist := NewHistory(HistoryOpts{})
+	b := &Bundle{Registry: reg, History: hist}
+	for _, c := range []sim.Cycle{0, 65536, 100000, 0, 65536, 100000} {
+		g.Set(float64(c))
+		b.GridSample(c)
+	}
+	var buf bytes.Buffer
+	if _, err := hist.DumpJSON(&buf, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"dropped_series":0,"series":{"core.0.depth":[{"c":0,"v":0},{"c":65536,"v":65536},{"c":100000,"v":0},{"c":165536,"v":65536},{"c":200000,"v":100000}]}}`
+	if got := strings.TrimSpace(buf.String()); got != want {
+		t.Fatalf("history\n got %s\nwant %s", got, want)
+	}
+	c := sim.Cycle(100000)
+	if n := testing.AllocsPerRun(100, func() { c += 65536; b.GridSample(c) }); n != 0 {
+		t.Fatalf("GridSample allocates %.1f times per sample", n)
+	}
+}
+
 // --- http server ------------------------------------------------------
 
 func TestServerEndpoints(t *testing.T) {

@@ -60,7 +60,7 @@ func FuzzLoad(f *testing.F) {
 				return
 			}
 		}
-		if _, err := s.Build(); err == nil {
+		if _, err := build(s); err == nil {
 			return // built fine — nothing more to check
 		}
 	})

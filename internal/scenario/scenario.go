@@ -1,8 +1,8 @@
-// Package scenario loads declarative experiment descriptions from JSON and
-// builds runnable systems from them. A scenario names the per-core
-// workloads (benchmark profiles or recorded trace files), the protection
-// scheme, and any shaper configurations — everything needed to reproduce a
-// run without writing Go:
+// Package scenario loads declarative experiment descriptions from JSON
+// and maps them onto system configurations and trace sources. A scenario
+// names the per-core workloads (benchmark profiles or recorded trace
+// files), the protection scheme, and any shaper configurations —
+// everything needed to reproduce a run without writing Go:
 //
 //	{
 //	  "name": "bdc-demo",
@@ -16,7 +16,9 @@
 //	  ]
 //	}
 //
-// camsim accepts scenarios via -scenario.
+// The package also owns the rule that turns workload names into trace
+// sources (Sources), which camsim's -workload and -scenario paths and
+// chaossoak share. camsim accepts scenarios via -scenario.
 package scenario
 
 import (
@@ -199,13 +201,21 @@ func (sp *ShaperSpec) shaperConfig() (shaper.Config, error) {
 	return cfg, nil
 }
 
-// Build materializes the scenario into a runnable system. Workload names
-// resolve to benchmark profiles; names that are readable files load as
-// recorded traces (looped).
-func (s *Scenario) Build() (*core.System, error) {
+// Names returns each core's workload name.
+func (s *Scenario) Names() []string {
+	names := make([]string, len(s.Cores))
+	for i, c := range s.Cores {
+		names[i] = c.Workload
+	}
+	return names
+}
+
+// Config maps the scenario onto a system configuration: its scheme,
+// seed (1 when unset), substrate knobs and per-core shapers.
+func (s *Scenario) Config() (core.Config, error) {
 	scheme, err := ParseScheme(s.Scheme)
 	if err != nil {
-		return nil, err
+		return core.Config{}, err
 	}
 	cfg := core.DefaultConfig()
 	cfg.Cores = len(s.Cores)
@@ -225,50 +235,53 @@ func (s *Scenario) Build() (*core.System, error) {
 	}
 	cfg.ClosedPage = s.ClosedPage
 	cfg.FSBankPartition = s.FSBankPartition
-
-	var reqCores, respCores []int
-	cfg.PerCoreReqCfg = map[int]shaper.Config{}
-	cfg.PerCoreRespCfg = map[int]shaper.Config{}
 	for i, c := range s.Cores {
-		if c.ReqShaper != nil {
-			sc, err := c.ReqShaper.shaperConfig()
-			if err != nil {
-				return nil, fmt.Errorf("core %d request shaper: %w", i, err)
-			}
-			cfg.PerCoreReqCfg[i] = sc
-			reqCores = append(reqCores, i)
+		if err := attach(&cfg.PerCoreReqCfg, &cfg.ReqShaperCores, i, c.ReqShaper, "request"); err != nil {
+			return core.Config{}, err
 		}
-		if c.RespShaper != nil {
-			sc, err := c.RespShaper.shaperConfig()
-			if err != nil {
-				return nil, fmt.Errorf("core %d response shaper: %w", i, err)
-			}
-			cfg.PerCoreRespCfg[i] = sc
-			respCores = append(respCores, i)
+		if err := attach(&cfg.PerCoreRespCfg, &cfg.RespShaperCores, i, c.RespShaper, "response"); err != nil {
+			return core.Config{}, err
 		}
 	}
-	cfg.ReqShaperCores = reqCores
-	cfg.RespShaperCores = respCores
-	if len(cfg.PerCoreReqCfg) == 0 {
-		cfg.PerCoreReqCfg = nil
-	}
-	if len(cfg.PerCoreRespCfg) == 0 {
-		cfg.PerCoreRespCfg = nil
-	}
+	return cfg, nil
+}
 
-	rng := sim.NewRNG(cfg.Seed + 17)
-	sources := make([]trace.Source, len(s.Cores))
-	for i, c := range s.Cores {
-		src, err := resolveWorkload(c.Workload, rng.Fork())
+// attach installs sp, when set, as core i's shaper in cfgs and cores.
+func attach(cfgs *map[int]shaper.Config, cores *[]int, i int, sp *ShaperSpec, kind string) error {
+	if sp == nil {
+		return nil
+	}
+	sc, err := sp.shaperConfig()
+	if err != nil {
+		return fmt.Errorf("core %d %s shaper: %w", i, kind, err)
+	}
+	if *cfgs == nil {
+		*cfgs = map[int]shaper.Config{}
+	}
+	(*cfgs)[i] = sc
+	*cores = append(*cores, i)
+	return nil
+}
+
+// Sources resolves each core's workload name, trimmed of surrounding
+// spaces, to a trace source: a readable file is a recorded trace (see
+// tracecap) replayed in a loop, any other name a benchmark profile. The
+// generator streams fork one per core, in core order, from seed+17, so
+// a core's stream does not depend on what the other cores run.
+func Sources(names []string, seed uint64) ([]trace.Source, error) {
+	rng := sim.NewRNG(seed + 17)
+	sources := make([]trace.Source, len(names))
+	for i, name := range names {
+		src, err := resolveWorkload(strings.TrimSpace(name), rng.Fork())
 		if err != nil {
 			return nil, fmt.Errorf("core %d: %w", i, err)
 		}
 		sources[i] = src
 	}
-	return core.NewSystem(cfg, sources)
+	return sources, nil
 }
 
-// resolveWorkload maps a workload string to a trace source.
+// resolveWorkload maps a workload name to a trace source.
 func resolveWorkload(name string, rng *sim.RNG) (trace.Source, error) {
 	if f, err := os.Open(name); err == nil {
 		defer f.Close()

@@ -24,6 +24,20 @@ const bdcScenario = `{
   ]
 }`
 
+// build materializes s the way camsim does: its Config, fed by the
+// Sources of its workloads.
+func build(s *Scenario) (*core.System, error) {
+	cfg, err := s.Config()
+	if err != nil {
+		return nil, err
+	}
+	sources, err := Sources(s.Names(), cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSystem(cfg, sources)
+}
+
 func TestLoadAndBuildBDC(t *testing.T) {
 	s, err := Load(strings.NewReader(bdcScenario))
 	if err != nil {
@@ -32,7 +46,7 @@ func TestLoadAndBuildBDC(t *testing.T) {
 	if s.Name != "bdc-demo" || len(s.Cores) != 4 {
 		t.Fatalf("parsed %+v", s)
 	}
-	sys, err := s.Build()
+	sys, err := build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +134,7 @@ func TestPeriodicShaperSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := s.Build()
+	sys, err := build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +170,7 @@ func TestScenarioWithRecordedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := s.Build()
+	sys, err := build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +192,7 @@ func TestSubstrateKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := s.Build()
+	sys, err := build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +208,52 @@ func TestSubstrateKnobs(t *testing.T) {
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile("/nonexistent/s.json"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+func TestSourcesProfiles(t *testing.T) {
+	srcs, err := Sources([]string{"mcf", " astar "}, 1)
+	if err != nil || len(srcs) != 2 {
+		t.Fatalf("Sources: %v, %d sources", err, len(srcs))
+	}
+	if _, err := Sources([]string{"not-a-benchmark"}, 1); err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+}
+
+func TestSourcesReplaysTraceFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "w.trace")
+	p, err := trace.ProfileByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := trace.NewGenerator(p, sim.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := trace.Capture(gen, 100)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteTrace(f, entries); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	srcs, err := Sources([]string{path}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := srcs[0].Next()
+	if !ok || e != entries[0] {
+		t.Fatalf("replay head %+v, want %+v", e, entries[0])
+	}
+	// A corrupt file must error rather than fall back silently.
+	bad := filepath.Join(dir, "bad.trace")
+	os.WriteFile(bad, []byte("CAMTgarbage"), 0o644)
+	if _, err := Sources([]string{bad}, 1); err == nil {
+		t.Fatal("corrupt trace accepted")
 	}
 }
