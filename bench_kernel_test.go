@@ -27,7 +27,9 @@ const kernelBenchCycles sim.Cycle = 200_000
 // (burst gap mean 1100 cycles): mostly idle spans, the fast path's best
 // case and the one the ≥2x speedup claim is made on. "mixed" pairs it
 // with progressively more memory-bound profiles to show the ratio
-// degrades gracefully rather than cliffing.
+// degrades gracefully rather than cliffing. "mcf" under BDC is the
+// saturated steady state: the controller queue stays full, and the
+// ratio measures how much the senders parked in front of it sleep.
 func BenchmarkKernel(b *testing.B) {
 	schemes := []struct {
 		name string
@@ -61,15 +63,19 @@ func BenchmarkKernel(b *testing.B) {
 	workloads := []struct {
 		name  string
 		names []string
+		// only, when set, restricts the workload to one scheme.
+		only string
 	}{
-		{"sjeng", []string{"sjeng"}},
-		{"mixed", []string{"sjeng", "h264ref", "gobmk", "mcf"}},
+		{"sjeng", []string{"sjeng"}, ""},
+		{"mixed", []string{"sjeng", "h264ref", "gobmk", "mcf"}, "noshaping"},
+		{"mcf", []string{"mcf"}, "bdc"},
 	}
 	for _, s := range schemes {
 		for _, w := range workloads {
 			// The per-scheme fast-path ratio only needs the idle
-			// workload; mixed is measured on the unshaped baseline.
-			if w.name == "mixed" && s.name != "noshaping" {
+			// workload; mixed is measured on the unshaped baseline and
+			// the saturated mcf load on BDC.
+			if w.only != "" && s.name != w.only {
 				continue
 			}
 			for _, mode := range []string{"fast", "stepped"} {

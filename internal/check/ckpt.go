@@ -188,7 +188,8 @@ func (m *Monitor) Restore(d *ckpt.Decoder) error {
 // Snapshot serializes the retained events and the lifetime count.
 func (r *Ring) Snapshot(e *ckpt.Encoder) {
 	e.Len(len(r.buf))
-	for _, ev := range r.buf {
+	for i := range r.buf {
+		ev := r.buf[i].event()
 		e.U64(uint64(ev.Cycle))
 		e.String(ev.Msg)
 	}
@@ -207,7 +208,7 @@ func (r *Ring) Restore(d *ckpt.Decoder) error {
 	}
 	r.buf = r.buf[:0]
 	for i := 0; i < n; i++ {
-		r.buf = append(r.buf, Event{Cycle: sim.Cycle(d.U64()), Msg: d.String()})
+		r.buf = append(r.buf, entry{cycle: sim.Cycle(d.U64()), msg: d.String()})
 	}
 	r.next = d.Int()
 	r.count = d.U64()

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 
+	"camouflage/internal/dram"
 	"camouflage/internal/sim"
 )
 
@@ -31,9 +32,34 @@ type Event struct {
 // transitions; when a violation fires, the ring's contents become the
 // dump attached to the Violation.
 type Ring struct {
-	buf   []Event
+	buf   []entry
 	next  int
 	count uint64
+}
+
+// entry is one retained event: a formatted message, or a DRAM issue
+// kept typed and formatted only when read. Issues are recorded on every
+// command and almost all are evicted unread, so formatting them eagerly
+// would dominate a checked run.
+type entry struct {
+	cycle sim.Cycle
+	msg   string
+	issue dram.IssueEvent
+	typed bool // issue holds the event; msg is unset
+}
+
+// event returns e as it reads back.
+func (e *entry) event() Event {
+	if e.typed {
+		return Event{Cycle: e.cycle, Msg: formatIssue(&e.issue)}
+	}
+	return Event{Cycle: e.cycle, Msg: e.msg}
+}
+
+// formatIssue renders a DRAM issue event for the diagnostic trail.
+func formatIssue(ev *dram.IssueEvent) string {
+	return fmt.Sprintf("dram issue rank=%d bank=%d row=%d write=%v act=%v actAt=%d colAt=%d dataAt=%d busy=%v",
+		ev.Rank, ev.Bank, ev.Row, ev.Write, ev.Activated, ev.ActAt, ev.ColAt, ev.DataAt, ev.BusyBank)
 }
 
 // DefaultRingSize is the diagnostic window attached to violations.
@@ -45,16 +71,26 @@ func NewRing(size int) *Ring {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &Ring{buf: make([]Event, 0, size)}
+	return &Ring{buf: make([]entry, 0, size)}
 }
 
 // Record appends a formatted event, evicting the oldest when full.
 func (r *Ring) Record(now sim.Cycle, format string, args ...any) {
-	ev := Event{Cycle: now, Msg: fmt.Sprintf(format, args...)}
+	r.push(entry{cycle: now, msg: fmt.Sprintf(format, args...)})
+}
+
+// RecordIssue appends a DRAM issue event at its cycle. It reads back as
+// "dram issue rank=... busy=..." but is formatted only when read.
+func (r *Ring) RecordIssue(ev dram.IssueEvent) {
+	r.push(entry{cycle: ev.Now, issue: ev, typed: true})
+}
+
+// push appends e, evicting the oldest entry when full.
+func (r *Ring) push(e entry) {
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
+		r.buf = append(r.buf, e)
 	} else {
-		r.buf[r.next] = ev
+		r.buf[r.next] = e
 	}
 	r.next = (r.next + 1) % cap(r.buf)
 	r.count++
@@ -65,12 +101,14 @@ func (r *Ring) Recorded() uint64 { return r.count }
 
 // Events returns the retained events oldest-first.
 func (r *Ring) Events() []Event {
-	if len(r.buf) < cap(r.buf) {
-		return append([]Event(nil), r.buf...)
-	}
 	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	oldest := 0
+	if len(r.buf) == cap(r.buf) {
+		oldest = r.next
+	}
+	for i := range r.buf {
+		out = append(out, r.buf[(oldest+i)%len(r.buf)].event())
+	}
 	return out
 }
 

@@ -1,10 +1,13 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
+	"camouflage/internal/ckpt"
+	"camouflage/internal/dram"
 	"camouflage/internal/sim"
 )
 
@@ -113,5 +116,47 @@ func TestRingDefaultSize(t *testing.T) {
 	}
 	if got := len(r.Events()); got != DefaultRingSize {
 		t.Fatalf("retained %d, want %d", got, DefaultRingSize)
+	}
+}
+
+// TestRingIssueReadsBackAsFormatted pins lazy issue formatting: a DRAM
+// issue recorded typed must read back, dump and checkpoint exactly as
+// the eagerly formatted message the ring stored before, including after
+// it wraps over formatted events and is restored from a checkpoint.
+func TestRingIssueReadsBackAsFormatted(t *testing.T) {
+	issues := []dram.IssueEvent{
+		{Now: 120, Rank: 0, Bank: 3, Row: 4097, Write: true, Activated: true, ActAt: 121, ColAt: 131, DataAt: 142},
+		{Now: 7, Rank: 1, Bank: 7, Row: 0, BusyBank: true, ColAt: 9, DataAt: 20},
+	}
+	const format = "dram issue rank=%d bank=%d row=%d write=%v act=%v actAt=%d colAt=%d dataAt=%d busy=%v"
+	lazy, eager := NewRing(3), NewRing(3)
+	for i := 0; i < 4; i++ {
+		ev := issues[i%len(issues)]
+		lazy.RecordIssue(ev)
+		eager.Record(ev.Now, format, ev.Rank, ev.Bank, ev.Row, ev.Write, ev.Activated, ev.ActAt, ev.ColAt, ev.DataAt, ev.BusyBank)
+		lazy.Record(sim.Cycle(i), "other %d", i)
+		eager.Record(sim.Cycle(i), "other %d", i)
+	}
+	want := "dram issue rank=1 bank=7 row=0 write=false act=false actAt=0 colAt=9 dataAt=20 busy=true"
+	if got := lazy.Events()[1].Msg; got != want {
+		t.Fatalf("typed issue reads back as %q, want %q", got, want)
+	}
+	if lazy.Dump() != eager.Dump() {
+		t.Fatalf("dumps differ:\n%s\nvs\n%s", lazy.Dump(), eager.Dump())
+	}
+	snap := func(r *Ring) []byte {
+		var e ckpt.Encoder
+		r.Snapshot(&e)
+		return e.Bytes()
+	}
+	if !bytes.Equal(snap(lazy), snap(eager)) {
+		t.Fatal("checkpoint bytes of the lazily formatted ring differ from the eager one")
+	}
+	restored := NewRing(3)
+	if err := restored.Restore(ckpt.NewDecoder(snap(lazy))); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Dump() != eager.Dump() {
+		t.Fatal("restored ring dumps differently")
 	}
 }

@@ -35,7 +35,7 @@ func ConfigHash(cfg Config) uint64 {
 // component in the fixed assembly order — plus caller-supplied extras
 // (e.g. a CLI's latency recorders, so resumed reports are byte-identical).
 func (s *System) snapshot(e *ckpt.Encoder, extras []ckpt.Stater) {
-	e.U64(s.nextID)
+	s.ids.Snapshot(e)
 	s.Kernel.Snapshot(e)
 	e.Len(len(s.Cores))
 	for _, c := range s.Cores {
@@ -84,7 +84,9 @@ func (s *System) snapshot(e *ckpt.Encoder, extras []ckpt.Stater) {
 // unusable (restore is not transactional).
 func (s *System) restoreState(payload []byte, extras []ckpt.Stater) error {
 	d := ckpt.NewDecoder(payload)
-	s.nextID = d.U64()
+	if err := s.ids.Restore(d); err != nil {
+		return err
+	}
 	if err := s.Kernel.Restore(d); err != nil {
 		return err
 	}

@@ -155,6 +155,30 @@ func TestFastPathByteIdentical(t *testing.T) {
 		{"cs-constant", csConstantConfig, []string{"sjeng", "h264ref", "gobmk", "mcf"}, false},
 		{"bd-credit", bdcConfig, []string{"sjeng", "h264ref", "gobmk", "mcf"}, false},
 		{"bd-epoch", csEpochConfig, []string{"sjeng", "h264ref", "gobmk", "mcf"}, false},
+		// Saturated shaping: the controller queue stays full, so the
+		// request link, the controller, DRAM and the request shapers
+		// park on the queue ahead of them and replay their refusals in
+		// bulk. The BDC and ReqC scenarios must actually skip.
+		{"bdc-saturated", bdcConfig, []string{"mcf"}, true},
+		{"bdc-saturated-2ch", func() Config {
+			cfg := bdcConfig()
+			cfg.Geometry.Channels = 2
+			return cfg
+		}, []string{"mcf"}, true},
+		{"reqc-fake-saturated", func() Config {
+			cfg := DefaultConfig()
+			cfg.Scheme = ReqC
+			req := DefaultShaperConfig()
+			cfg.ReqShaperCfg = &req
+			return cfg
+		}, []string{"mcf", "libqt", "mcf", "mcf"}, true},
+		{"respc-saturated", func() Config {
+			cfg := DefaultConfig()
+			cfg.Scheme = RespC
+			resp := DefaultShaperConfig()
+			cfg.RespShaperCfg = &resp
+			return cfg
+		}, []string{"mcf"}, false},
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -169,8 +193,9 @@ func TestFastPathByteIdentical(t *testing.T) {
 			if stepped.skipped != 0 {
 				t.Fatalf("forced-stepped run skipped %d cycles", stepped.skipped)
 			}
+			t.Logf("fast run skipped %d of %d cycles", fast.skipped, segments*segLen)
 			if sc.wantSkips && fast.skipped == 0 {
-				t.Fatal("idle workload produced zero skipped cycles: fast path never engaged")
+				t.Fatal("workload produced zero skipped cycles: fast path never engaged")
 			}
 
 			for seg := range fast.ckpts {

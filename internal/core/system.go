@@ -44,8 +44,10 @@ type System struct {
 	// Monitor is the runtime invariant monitor, nil until EnableChecks.
 	Monitor *check.Monitor
 
-	amap     *dram.AddrMap
-	nextID   uint64
+	amap *dram.AddrMap
+	// ids hands out every request ID in the machine: the caches' misses
+	// and writebacks and the shapers' fakes.
+	ids      mem.IDSource
 	deadline time.Duration
 
 	// pool recycles mem.Request objects across the whole machine: caches
@@ -153,7 +155,7 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 	// Cores and their workloads.
 	s.Cores = make([]*cpu.Core, cfg.Cores)
 	for i := range s.Cores {
-		c, err := cpu.New(i, cfg.CPU, sources[i], &s.nextID)
+		c, err := cpu.New(i, cfg.CPU, sources[i], &s.ids)
 		if err != nil {
 			return nil, fmt.Errorf("core %d: %w", i, err)
 		}
@@ -170,7 +172,7 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 	}
 	for i, c := range s.Cores {
 		if reqShaped[i] {
-			sh, err := shaper.NewRequestShaper(i, cfg.reqCfgFor(i), cfg.CPU.Cache.MSHRs+cfg.CPU.MaxPendingWB, s.ReqNet.Input(i), rng.Fork(), &s.nextID)
+			sh, err := shaper.NewRequestShaper(i, cfg.reqCfgFor(i), cfg.CPU.Cache.MSHRs+cfg.CPU.MaxPendingWB, s.ReqNet.Input(i), rng.Fork(), &s.ids)
 			if err != nil {
 				return nil, fmt.Errorf("request shaper for core %d: %w", i, err)
 			}
@@ -191,7 +193,7 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 	elevator := multiElevator{mcs: s.MCs}
 	for i := range s.Cores {
 		if respShaped[i] {
-			sh, err := shaper.NewResponseShaper(i, cfg.respCfgFor(i), 64, s.RespNet.Input(i), elevator, rng.Fork(), &s.nextID)
+			sh, err := shaper.NewResponseShaper(i, cfg.respCfgFor(i), 64, s.RespNet.Input(i), elevator, rng.Fork(), &s.ids)
 			if err != nil {
 				return nil, fmt.Errorf("response shaper for core %d: %w", i, err)
 			}
@@ -212,12 +214,16 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 	// (refresh), the controller issues and retires, response shapers
 	// release, the response channel delivers. Each component's wake
 	// handle reads s.Kernel when called, so it follows the system onto
-	// a kernel that re-registers the components in this order.
+	// a kernel that re-registers the components in this order. The
+	// controllers arm the request link, which parks while they refuse
+	// it, when they free a queue slot.
 	register := func(c interface {
 		sim.Tickable
 		SetWake(sim.WakeHandle)
-	}) {
-		c.SetWake(sim.NewWakeHandle(&s.Kernel, s.Kernel.Register(c)))
+	}) sim.WakeHandle {
+		w := sim.NewWakeHandle(&s.Kernel, s.Kernel.Register(c))
+		c.SetWake(w)
+		return w
 	}
 	for _, c := range s.Cores {
 		register(c)
@@ -227,10 +233,11 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 			register(sh)
 		}
 	}
-	register(s.ReqNet)
+	reqNet := register(s.ReqNet)
 	for ch := range s.Channels {
 		register(s.Channels[ch])
 		register(s.MCs[ch])
+		s.MCs[ch].SetSpaceWake(reqNet)
 	}
 	for _, sh := range s.RespShapers {
 		if sh != nil {

@@ -112,10 +112,10 @@ type Core struct {
 	OnDelivered func(now sim.Cycle, resp *mem.Request)
 }
 
-// New returns core id running src, with nextID supplying request IDs.
+// New returns core id running src, with ids supplying request IDs.
 // An invalid cache configuration is reported as an error.
-func New(id int, cfg Config, src trace.Source, nextID *uint64) (*Core, error) {
-	llc, err := cache.New(cfg.Cache, id, nextID)
+func New(id int, cfg Config, src trace.Source, ids *mem.IDSource) (*Core, error) {
+	llc, err := cache.New(cfg.Cache, id, ids)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func (p *echoPort) TrySend(_ sim.Cycle, req *mem.Request) bool {
 }
 
 func newCore(entries []trace.Entry) (*Core, *echoPort) {
-	var id uint64
+	var id mem.IDSource
 	c := mustNew(0, DefaultConfig(), trace.NewSliceSource(entries), &id)
 	p := &echoPort{}
 	c.SetOut(p)
@@ -103,7 +103,7 @@ func TestMSHRLimitStallsCore(t *testing.T) {
 	for i := range entries {
 		entries[i] = trace.Entry{Gap: 0, Addr: uint64(i+1) * 0x10000}
 	}
-	var id uint64
+	var id mem.IDSource
 	c := mustNew(0, cfg, trace.NewSliceSource(entries), &id)
 	p := &echoPort{}
 	c.SetOut(p)
@@ -188,7 +188,7 @@ func TestWritebackDrains(t *testing.T) {
 	for w := 0; w <= cfg.Cache.Ways; w++ {
 		entries = append(entries, trace.Entry{Gap: 0, Addr: uint64(w) * stride, Write: true})
 	}
-	var id uint64
+	var id mem.IDSource
 	c := mustNew(0, cfg, trace.NewSliceSource(entries), &id)
 	p := &echoPort{}
 	c.SetOut(p)
@@ -214,7 +214,7 @@ func TestWritebackDrains(t *testing.T) {
 
 func TestClockedSourceReceivesTime(t *testing.T) {
 	sender := trace.NewCovertSender(0b1, 1, 100, 2, false)
-	var id uint64
+	var id mem.IDSource
 	c := mustNew(0, DefaultConfig(), sender, &id)
 	p := &echoPort{}
 	c.SetOut(p)
@@ -236,8 +236,8 @@ func TestClockedSourceReceivesTime(t *testing.T) {
 
 // mustNew is New panicking on error, for tests whose configs are known
 // valid.
-func mustNew(id int, cfg Config, src trace.Source, nextID *uint64) *Core {
-	c, err := New(id, cfg, src, nextID)
+func mustNew(id int, cfg Config, src trace.Source, ids *mem.IDSource) *Core {
+	c, err := New(id, cfg, src, ids)
 	if err != nil {
 		panic(err)
 	}

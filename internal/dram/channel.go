@@ -143,9 +143,11 @@ func (c *Channel) Stats() ChannelStats { return c.stats }
 func (c *Channel) SetClosedPage(on bool) { c.closedPage = on }
 
 // SetWake installs the channel's handle on its kernel slot. Issue and
-// Complete call it first, so the channel's next Tick clears the command
-// latch Issue sets, and a refresh blocked on a busy bank retries as soon
-// as the bank frees.
+// Complete arm it, so the channel's next Tick clears the command latch
+// Issue sets, and a refresh blocked on a busy bank retries as soon as
+// the bank frees. Neither needs the skipped span folded first: Skip
+// reads only commandIssuedAt, and replays it correctly either side of
+// an Issue.
 func (c *Channel) SetWake(w sim.WakeHandle) { c.wake = w }
 
 // AddrMap returns the channel's address map.
@@ -164,8 +166,10 @@ func (c *Channel) SetObserver(o Observer) { c.observer = o }
 // deadline, or never when refresh is disabled — between refreshes the
 // channel's tick only refreshes the one-command-per-cycle latch, which
 // Skip reproduces. A refresh already due but blocked by an in-flight
-// bank retries every cycle. Issue and Complete wake the channel, so the
-// cycle after a command, where the latch clears, is always ticked.
+// bank cannot start before that bank completes, and Complete arms the
+// channel, so the blocked rank adds no wake of its own. Issue arms the
+// channel too, so the cycle after a command, where the latch clears, is
+// always ticked.
 func (c *Channel) NextWake(now sim.Cycle) sim.Cycle {
 	if c.timing.TREFI == 0 {
 		return sim.NeverWake
@@ -174,6 +178,9 @@ func (c *Channel) NextWake(now sim.Cycle) sim.Cycle {
 	for r := range c.ranks {
 		nr := c.ranks[r].nextRefresh
 		if nr <= now {
+			if c.ranks[r].inflight() {
+				continue
+			}
 			return now + 1
 		}
 		if nr < w {
@@ -184,10 +191,11 @@ func (c *Channel) NextWake(now sim.Cycle) sim.Cycle {
 }
 
 // Skip implements sim.Skipper. The only per-cycle effect of an idle
-// tick is commandUsed = (commandIssuedAt == now); no command issues
-// during a skipped span, so the latch is simply clear at its end.
+// tick is commandUsed = (commandIssuedAt == now), so the latch ends the
+// span as the last skipped tick left it. An Issue in the span's last
+// cycle came after that tick and leaves the latch set.
 func (c *Channel) Skip(from, to sim.Cycle) {
-	c.commandUsed = false
+	c.commandUsed = c.commandIssuedAt == to
 }
 
 // Tick advances refresh state. Refresh is modeled analytically: when a
@@ -200,23 +208,16 @@ func (c *Channel) Tick(now sim.Cycle) {
 	}
 	for r := range c.ranks {
 		rk := &c.ranks[r]
-		if now < rk.nextRefresh {
+		// A due refresh waits for outstanding transactions to finish;
+		// Complete arms the channel to retry.
+		if now < rk.nextRefresh || rk.inflight() {
 			continue
 		}
 		start := now
 		for b := range rk.banks {
-			if rk.banks[b].inflight {
-				// Wait for outstanding transactions to finish before
-				// refreshing; retry next tick.
-				start = 0
-				break
-			}
 			if rk.banks[b].freeAt > start {
 				start = rk.banks[b].freeAt
 			}
-		}
-		if start == 0 {
-			continue
 		}
 		end := start + c.timing.TRFC
 		for b := range rk.banks {
@@ -227,6 +228,17 @@ func (c *Channel) Tick(now sim.Cycle) {
 		rk.nextRefresh += c.timing.TREFI
 		c.stats.Refreshes++
 	}
+}
+
+// inflight reports whether any bank of the rank has a transaction in
+// flight, which holds off a due refresh.
+func (rk *rankState) inflight() bool {
+	for b := range rk.banks {
+		if rk.banks[b].inflight {
+			return true
+		}
+	}
+	return false
 }
 
 // IsRowHit reports whether req would hit an open row right now. The
@@ -344,7 +356,7 @@ func (c *Channel) EarliestDemandIssue(now sim.Cycle, demand []int32) (bool, sim.
 // must have checked CanIssue. Issue also updates row-buffer state, the
 // tFAW/tRRD activate window and data bus occupancy.
 func (c *Channel) Issue(now sim.Cycle, req *mem.Request) sim.Cycle {
-	c.wake.Wake()
+	c.wake.Arm()
 	loc := c.amap.DecodeReq(req)
 	rk := &c.ranks[loc.Rank]
 	b := &rk.banks[loc.Bank]
@@ -462,7 +474,7 @@ func (c *Channel) Issue(now sim.Cycle, req *mem.Request) sim.Cycle {
 // Complete marks req's bank free for its next transaction. The controller
 // calls it when the data burst has finished (the cycle returned by Issue).
 func (c *Channel) Complete(req *mem.Request) {
-	c.wake.Wake()
+	c.wake.Arm()
 	loc := c.amap.DecodeReq(req)
 	c.ranks[loc.Rank].banks[loc.Bank].inflight = false
 }

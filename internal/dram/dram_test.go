@@ -382,3 +382,36 @@ func TestClosedPageUniformLatency(t *testing.T) {
 		t.Fatalf("closed-page same-row latency %d, want uniform %d", lat, want)
 	}
 }
+
+// TestBlockedRefreshHint checks the wake hint of a refresh that is due
+// but held off by a bank in flight: the blocked rank adds no wake of its
+// own (Complete wakes the channel), and once the bank completes the
+// channel asks for the next cycle, where the refresh starts.
+func TestBlockedRefreshHint(t *testing.T) {
+	c := testChannel()
+	tm := c.Timing()
+	req := read(0)
+	c.Issue(tm.TREFI-10, req)
+	due := tm.TREFI
+	for now := tm.TREFI - 9; now <= due+5; now++ {
+		c.Tick(now)
+	}
+	now := due + 5
+	if c.Stats().Refreshes != 0 {
+		t.Fatal("refresh started under a bank in flight")
+	}
+	if g := c.Geometry(); g.RanksPerChannel != 1 {
+		t.Fatalf("test assumes one rank, geometry has %d", g.RanksPerChannel)
+	}
+	if w := c.NextWake(now); w != sim.NeverWake {
+		t.Fatalf("blocked refresh: NextWake(%d) = %d, want NeverWake", now, w)
+	}
+	c.Complete(req)
+	if w := c.NextWake(now); w != now+1 {
+		t.Fatalf("after Complete: NextWake(%d) = %d, want %d", now, w, now+1)
+	}
+	c.Tick(now + 1)
+	if c.Stats().Refreshes != 1 {
+		t.Fatalf("refresh did not start the cycle after Complete: %d refreshes", c.Stats().Refreshes)
+	}
+}

@@ -126,9 +126,10 @@ type Queue struct {
 	head  int        // index of the oldest element
 	count int
 	cap   int // admission bound; 0 means unbounded
-	// wake re-arms the queue's consumer before TrySend enqueues (see
-	// sim.WakeHandle); the zero handle does nothing.
-	wake sim.WakeHandle
+	// wake arms the queue's consumer when TrySend enqueues; space arms
+	// its sender when a Pop frees a slot in the full queue (see
+	// sim.WakeHandle.Arm). The zero handles do nothing.
+	wake, space sim.WakeHandle
 }
 
 // NewQueue returns a queue holding at most capacity requests; capacity 0
@@ -137,9 +138,17 @@ func NewQueue(capacity int) *Queue {
 	return &Queue{cap: capacity}
 }
 
-// SetWake installs the handle TrySend calls before enqueueing: the
-// consumer's slot in the kernel schedule.
+// SetWake installs the handle TrySend arms when it enqueues: the
+// consumer's slot in the kernel schedule. The consumer is armed, not
+// woken, so its Skip must not read the queue: the skipped span is
+// folded after the push.
 func (q *Queue) SetWake(w sim.WakeHandle) { q.wake = w }
+
+// SetSpaceWake installs the handle Pop arms when it frees a slot in the
+// full queue: the slot of a sender that parks while the queue refuses
+// it. Popping changes nothing in the sender, so the handle is armed
+// (sim.WakeHandle.Arm), not woken.
+func (q *Queue) SetSpaceWake(w sim.WakeHandle) { q.space = w }
 
 // Len returns the number of queued requests.
 func (q *Queue) Len() int { return q.count }
@@ -195,6 +204,9 @@ func (q *Queue) Pop() *Request {
 	if q.count == 0 {
 		return nil
 	}
+	if q.count == q.cap {
+		q.space.Arm()
+	}
 	r := q.buf[q.head]
 	q.buf[q.head] = nil
 	q.head++
@@ -216,13 +228,13 @@ func (q *Queue) ForEach(fn func(*Request)) {
 	}
 }
 
-// TrySend implements ReqPort and RespPort by enqueueing, waking the
-// consumer first.
+// TrySend implements ReqPort and RespPort by enqueueing and arming the
+// consumer.
 func (q *Queue) TrySend(_ sim.Cycle, req *Request) bool {
 	if q.Full() {
 		return false
 	}
-	q.wake.Wake()
+	q.wake.Arm()
 	return q.Push(req)
 }
 

@@ -42,8 +42,9 @@ type Controller struct {
 	kernel  *sim.Kernel
 	handler sim.HandlerID
 	// wake re-arms the controller in its kernel's schedule before an
-	// arrival lands (see sim.WakeHandle).
-	wake sim.WakeHandle
+	// arrival lands (see sim.WakeHandle); space arms the request link
+	// when an issue frees a slot in the full queue.
+	wake, space sim.WakeHandle
 
 	stats ControllerStats
 	// accounted is the cycle through which Cycles/QueueOccupancySum have
@@ -86,10 +87,16 @@ func (c *Controller) AttachKernel(k *sim.Kernel) {
 
 // SetWake installs the controller's handle on its kernel slot. TrySend
 // calls it before queueing, so an idle controller is ticked again from
-// the arrival's cycle on. Elevate and priority expiry need no wake: they
-// only matter to a scheduler scan, which runs only while the queue is
-// non-empty — and then the controller is due every cycle anyway.
+// the arrival's cycle on; a refused offer changes nothing the controller
+// acts on and does not wake it. Elevate and priority expiry need no wake
+// either: they only matter to a scheduler scan, and the scan runs only
+// once the pick gate opens (nextPickAt), which priorities do not move.
 func (c *Controller) SetWake(w sim.WakeHandle) { c.wake = w }
+
+// SetSpaceWake installs the handle the controller arms when an issue
+// frees a slot in its full queue: the request link's, which parks while
+// the controller refuses it (see noc.BulkRefuser).
+func (c *Controller) SetSpaceWake(w sim.WakeHandle) { c.space = w }
 
 // HandleEvent implements sim.EventHandler. A stale expiry (the core was
 // re-elevated to a later deadline after this event was scheduled) is
@@ -224,11 +231,11 @@ func (c *Controller) ForEachRequest(fn func(*mem.Request)) {
 // TrySend implements mem.ReqPort: the request NoC delivers transactions
 // here. It returns false when the transaction queue is full.
 func (c *Controller) TrySend(now sim.Cycle, req *mem.Request) bool {
-	c.wake.Wake()
-	if len(c.queue) >= c.depth {
+	if c.Full() {
 		c.stats.Rejected++
 		return false
 	}
+	c.wake.Wake()
 	// The queue length is about to change: fold the occupancy integral
 	// through the previous cycle. Cycle now itself is sampled at this
 	// cycle's issue (or a later fold), after all arrivals have landed —
@@ -248,6 +255,13 @@ func (c *Controller) TrySend(now sim.Cycle, req *mem.Request) bool {
 	}
 	return true
 }
+
+// Full reports whether the transaction queue refuses offers.
+func (c *Controller) Full() bool { return len(c.queue) >= c.depth }
+
+// Refused counts n offers refused while the queue was full, at once: a
+// parked request link replays its refused deliveries through it.
+func (c *Controller) Refused(n uint64) { c.stats.Rejected += n }
 
 // Elevate raises core's scheduling priority to level until cycle until.
 // Response Camouflage uses it to accelerate a core whose response rate has
@@ -281,24 +295,32 @@ func (c *Controller) Priority(core int) int {
 	return c.prio[core]
 }
 
-// NextWake implements sim.NextWaker. A non-empty queue consults the
-// scheduler every cycle (policies like temporal partitioning are
-// time-dependent, so no cheap bound exists). Otherwise the controller
-// next acts at the earliest in-flight completion or the earliest
-// pending priority expiry — skipping past an expiry would leave a stale
-// elevated priority visible in a checkpoint that a stepped run would
-// have cleared.
+// NextWake implements sim.NextWaker. The controller next acts at the
+// earliest of: the pick gate opening (nextPickAt) while transactions are
+// queued, the earliest in-flight completion, and in standalone mode the
+// earliest pending priority expiry — skipping past an expiry would leave
+// a stale elevated priority visible in a checkpoint that a stepped run
+// would have cleared. While the gate is closed no scheduler can pick, so
+// the wait is policy-independent; once it opens the scheduler is
+// consulted every cycle (policies like temporal partitioning are
+// time-dependent, so no cheap bound exists). An arrival or a completion
+// can open the gate early, and both go through a Tick or a wake.
 func (c *Controller) NextWake(now sim.Cycle) sim.Cycle {
-	if len(c.queue) > 0 {
-		return now + 1
-	}
 	w := sim.NeverWake
+	if len(c.queue) > 0 {
+		if c.nextPickAt <= now+1 {
+			return now + 1
+		}
+		w = c.nextPickAt
+	}
 	if len(c.inflight) > 0 {
 		at := c.inflight[0].at
 		if at <= now {
 			return now + 1 // egress-blocked completion retrying
 		}
-		w = at
+		if at < w {
+			w = at
+		}
 	}
 	if c.kernel == nil {
 		// Standalone mode expires priorities inside Tick, so pending
@@ -389,6 +411,9 @@ func (c *Controller) Tick(now sim.Cycle) {
 		return
 	}
 	c.fold(now) // queue length changes below; sample this cycle first
+	if c.Full() {
+		c.space.Arm()
+	}
 	req := c.queue[pick]
 	c.bankQueued[c.bankSlot(req)]--
 	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)

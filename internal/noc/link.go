@@ -107,7 +107,8 @@ func (l *Link) Name() string { return l.name }
 func (l *Link) Input(core int) *mem.Queue { return l.inputs[core] }
 
 // SetWake installs the link's handle on its kernel slot: every input
-// queue calls it before a sender's TrySend enqueues.
+// queue arms it when a sender's TrySend enqueues. Skip never reads the
+// inputs, so the arrival need not fold the link's skipped span first.
 func (l *Link) SetWake(w sim.WakeHandle) {
 	for _, q := range l.inputs {
 		q.SetWake(w)
@@ -153,12 +154,31 @@ func (l *Link) Stats() LinkStats {
 	return s
 }
 
-// NextWake implements sim.NextWaker. Anything queued at an input wants
-// arbitration next cycle; an in-flight pipe wakes when its head matures
-// (a mature head that could not deliver retries every cycle). An empty
-// link only acts when a sender injects, and the input queue's TrySend
-// wakes it.
+// BulkRefuser is a receiver that lets a refused link sleep: while Full
+// it refuses every offer, Refused counts n refused offers at once, and
+// it arms the link (sim.WakeHandle.Arm) when it frees a slot. The
+// memory controller is one.
+type BulkRefuser interface {
+	Full() bool
+	Refused(n uint64)
+}
+
+// NextWake implements sim.NextWaker. A link whose mature head is refused
+// by a full BulkRefuser, with the pipe at capacity so the arbiter grants
+// nothing, parks: every Tick until the receiver frees a slot (and arms
+// the link) is a refusal Skip replays. Otherwise anything queued at an
+// input wants arbitration next cycle; an in-flight pipe wakes when its
+// head matures (a mature head that could not deliver retries every
+// cycle). An empty link only acts when a sender injects, and the input
+// queue's TrySend arms it.
 func (l *Link) NextWake(now sim.Cycle) sim.Cycle {
+	if l.pipe.Len() >= l.capacity() {
+		if head := l.pipe.Ready(now); head != nil {
+			if r, ok := l.route(head).(BulkRefuser); ok && r.Full() {
+				return sim.NeverWake
+			}
+		}
+	}
 	for _, q := range l.inputs {
 		if q.Len() > 0 {
 			return now + 1
@@ -175,11 +195,18 @@ func (l *Link) NextWake(now sim.Cycle) sim.Cycle {
 
 // Skip implements sim.Skipper: an idle tick still rotates the
 // round-robin pointer, and with the pipe at capacity it counts a stall
-// cycle (the arbiter refuses before it looks at the empty inputs), so a
+// cycle (the arbiter refuses before it looks at the inputs), so a
 // skipped span must do both by the span length to keep fast-path state
-// (and checkpoints) byte-identical to a stepped run.
+// (and checkpoints) byte-identical to a stepped run. A head already
+// mature at the span's start means the link was parked on its receiver
+// (an idle link is due when its head matures): each tick of the span
+// also offered the head, was refused, and counted a stall.
 func (l *Link) Skip(from, to sim.Cycle) {
 	span := to - from + 1
+	if head := l.pipe.Ready(from); head != nil {
+		l.stats.StallCycles += uint64(span)
+		l.route(head).(BulkRefuser).Refused(uint64(span))
+	}
 	if l.pipe.Len() >= l.capacity() {
 		l.stats.StallCycles += uint64(span)
 	}

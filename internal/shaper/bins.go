@@ -388,6 +388,47 @@ func (b *binCore) nextWake(now sim.Cycle, pending bool) sim.Cycle {
 	return w
 }
 
+// creditMode reports whether releases wait on credit verdicts
+// (releaseBin, fakeBin): neither strict periodic nor oblivious.
+func (b *binCore) creditMode() bool {
+	return !b.periodic() && b.cfg.Policy != PolicyOblivious
+}
+
+// verdict returns whether a real (fake false) or fake release at cycle c
+// would be admitted, and the cycle until which that verdict holds while
+// the credit state stays unchanged.
+func (b *binCore) verdict(c sim.Cycle, fake bool) (bool, sim.Cycle) {
+	if !fake {
+		_, ok := b.releaseBin(c)
+		return ok, b.realMemo.until
+	}
+	if !b.cfg.GenerateFake {
+		return false, sim.Cycle(math.MaxUint64)
+	}
+	_, ok := b.fakeBin(c)
+	return ok, b.fakeMemo.until
+}
+
+// admits counts the cycles in [lo, hi] whose verdict admits a release
+// and returns the last of them (0 when n is 0), walking verdict
+// intervals rather than cycles. The credit state must not change over
+// the span: a parked shaper's refused Ticks commit nothing.
+func (b *binCore) admits(lo, hi sim.Cycle, fake bool) (n uint64, last sim.Cycle) {
+	for c := lo; c <= hi; {
+		ok, until := b.verdict(c, fake)
+		end := min(until-1, hi)
+		if ok {
+			n += uint64(end - c + 1)
+			last = end
+		}
+		if end == hi {
+			break
+		}
+		c = end + 1
+	}
+	return n, last
+}
+
 // interArrival returns the observed inter-arrival time if the shaper
 // released at cycle now.
 func (b *binCore) interArrival(now sim.Cycle) sim.Cycle {

@@ -11,11 +11,10 @@ import (
 
 // drive pushes a deterministic request pattern through a shaper for n
 // cycles.
-func drive(s *Shaper, id *uint64, n sim.Cycle) {
+func drive(s *Shaper, ids *mem.IDSource, n sim.Cycle) {
 	for now := sim.Cycle(0); now < n; now++ {
 		if now%37 == 0 {
-			*id++
-			s.TrySend(now, &mem.Request{ID: *id, Addr: uint64(now) * 64, CreatedAt: now})
+			s.TrySend(now, &mem.Request{ID: ids.Next(), Addr: uint64(now) * 64, CreatedAt: now})
 		}
 		s.Tick(now)
 	}

@@ -46,7 +46,7 @@ func TestEpochRateAdaptsToDemand(t *testing.T) {
 	// A deep input queue so backpressure does not hide demand from the
 	// rate selector.
 	p := &port{}
-	var id uint64
+	var id mem.IDSource
 	s, err := NewRequestShaper(0, cfg, 256, p, sim.NewRNG(1), &id)
 	if err != nil {
 		t.Fatal(err)

@@ -76,7 +76,7 @@ func pinDigest(t *testing.T, response bool, cfg Config) (string, Stats) {
 	t.Helper()
 	h := sha256.New()
 	p := &pinPort{h: h}
-	var id uint64
+	var id mem.IDSource
 	var s pinnedShaper
 	var err error
 	if response {
@@ -104,8 +104,7 @@ func pinDigest(t *testing.T, response bool, cfg Config) (string, Stats) {
 				arrive = now%17 == 0
 			}
 			if arrive {
-				id++
-				pending = &mem.Request{ID: id, Core: 1, Addr: uint64(now) * 64, Op: mem.Read, CreatedAt: now}
+				pending = &mem.Request{ID: id.Next(), Core: 1, Addr: uint64(now) * 64, Op: mem.Read, CreatedAt: now}
 				if response {
 					pending.CreatedAt = now - now%50
 					pending.ReadyAt = now

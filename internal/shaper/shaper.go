@@ -64,11 +64,20 @@ type Shaper struct {
 	mc  PriorityElevator
 	rng *sim.RNG
 
-	nextID *uint64
+	ids *mem.IDSource
 
 	// wake re-arms the shaper in its kernel's schedule before an
 	// arrival lands (see sim.WakeHandle).
 	wake sim.WakeHandle
+	// outQueue is the output when it is a mem.Queue, which arms the
+	// shaper when it frees a slot; only then can the shaper park.
+	outQueue *mem.Queue
+	// parked is set while the shaper sleeps on a full output (see
+	// NextWake); settled is the last cycle whose refused Tick has been
+	// replayed (see settle). Both describe the schedule, not the
+	// shaper: neither is checkpoint state.
+	parked  bool
+	settled sim.Cycle
 
 	// pool, when set, supplies fake transactions and takes back fakes the
 	// NoC refused at admission. Nil keeps plain allocation.
@@ -84,18 +93,18 @@ type Shaper struct {
 
 // NewRequestShaper returns a ReqC instance for core. inCap bounds the
 // input queue (backpressure depth, typically the MSHR count); out is the
-// NoC injection port; nextID supplies IDs for fake requests. The
+// NoC injection port; ids supplies IDs for fake requests. The
 // configuration is validated; an invalid one is a user input error, not a
 // panic.
-func NewRequestShaper(core int, cfg Config, inCap int, out mem.ReqPort, rng *sim.RNG, nextID *uint64) (*Shaper, error) {
-	return newShaper(core, cfg, inCap, out, rng, nextID)
+func NewRequestShaper(core int, cfg Config, inCap int, out mem.ReqPort, rng *sim.RNG, ids *mem.IDSource) (*Shaper, error) {
+	return newShaper(core, cfg, inCap, out, rng, ids)
 }
 
 // NewResponseShaper returns a RespC instance for core. queueCap bounds the
 // response queue; out is the response NoC injection port; mc receives
 // priority warnings (nil disables acceleration-by-priority).
-func NewResponseShaper(core int, cfg Config, queueCap int, out mem.RespPort, mc PriorityElevator, rng *sim.RNG, nextID *uint64) (*Shaper, error) {
-	s, err := newShaper(core, cfg, queueCap, out, rng, nextID)
+func NewResponseShaper(core int, cfg Config, queueCap int, out mem.RespPort, mc PriorityElevator, rng *sim.RNG, ids *mem.IDSource) (*Shaper, error) {
+	s, err := newShaper(core, cfg, queueCap, out, rng, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +113,7 @@ func NewResponseShaper(core int, cfg Config, queueCap int, out mem.RespPort, mc 
 	return s, nil
 }
 
-func newShaper(core int, cfg Config, queueCap int, out mem.ReqPort, rng *sim.RNG, nextID *uint64) (*Shaper, error) {
+func newShaper(core int, cfg Config, queueCap int, out mem.ReqPort, rng *sim.RNG, ids *mem.IDSource) (*Shaper, error) {
 	bins, err := newBinCore(cfg, rng)
 	if err != nil {
 		return nil, err
@@ -117,7 +126,7 @@ func newShaper(core int, cfg Config, queueCap int, out mem.ReqPort, rng *sim.RNG
 		out:       out,
 		outFull:   full,
 		rng:       rng,
-		nextID:    nextID,
+		ids:       ids,
 		Intrinsic: stats.NewInterArrivalRecorder(cfg.Binning, false),
 		Shaped:    stats.NewInterArrivalRecorder(cfg.Binning, false),
 	}, nil
@@ -128,10 +137,19 @@ func newShaper(core int, cfg Config, queueCap int, out mem.ReqPort, rng *sim.RNG
 // allocation.
 func (s *Shaper) SetPool(pool *mem.Pool) { s.pool = pool }
 
-// SetWake installs the shaper's handle on its kernel slot. TrySend calls
-// it before queueing an arrival, so an idle shaper is ticked again from
-// the arrival's cycle on.
-func (s *Shaper) SetWake(w sim.WakeHandle) { s.wake = w }
+// SetWake installs the shaper's handle on its kernel slot. TrySend uses
+// it before queueing an arrival (see wakeBeforeMutation), so an idle
+// shaper is ticked again from the arrival's cycle on. An output mem.Queue arms it when it frees a
+// slot, which lets the shaper park on a full output, and the ID source
+// settles the burns a parked shaper owes before each draw. Call it once.
+func (s *Shaper) SetWake(w sim.WakeHandle) {
+	s.wake = w
+	if q, ok := s.out.(*mem.Queue); ok {
+		q.SetSpaceWake(w)
+		s.outQueue = q
+	}
+	s.ids.Track(s, w)
+}
 
 // Config returns the active configuration.
 func (s *Shaper) Config() Config { return s.bins.cfg.Clone() }
@@ -145,7 +163,7 @@ func (s *Shaper) Config() Config { return s.bins.cfg.Clone() }
 // deviation, see DESIGN.md). Like an arrival, it wakes the shaper first,
 // so a shaper parked on the old configuration's hint is ticked again.
 func (s *Shaper) Reconfigure(cfg Config) error {
-	s.wake.Wake()
+	s.wakeBeforeMutation()
 	bins, err := newBinCore(cfg, s.rng)
 	if err != nil {
 		return err
@@ -198,7 +216,7 @@ func (s *Shaper) TrySend(now sim.Cycle, req *mem.Request) bool {
 	if s.queue.Full() {
 		return false
 	}
-	s.wake.Wake()
+	s.wakeBeforeMutation()
 	s.queue.Push(req)
 	s.Intrinsic.Observe(now)
 	s.bins.noteArrival()
@@ -207,11 +225,69 @@ func (s *Shaper) TrySend(now sim.Cycle, req *mem.Request) bool {
 
 // NextWake implements sim.NextWaker: the next replenishment, slot,
 // epoch boundary or credit-admitted release cycle (see binCore.nextWake).
-// An idle Tick before that cycle mutates nothing, so no Skip is needed.
-// The replenishment clamp also covers the RespC priority warning: Elevate
-// fires only on replenishment cycles, which are never skipped.
+// An idle Tick before that cycle mutates nothing. The replenishment
+// clamp also covers the RespC priority warning: Elevate fires only on
+// replenishment cycles, which are never skipped.
+//
+// A credit-mode shaper whose output queue is full parks instead: until
+// the next replenishment or until the queue frees a slot (and arms it),
+// every Tick is refused, and Skip replays those refusals in bulk. The
+// periodic and oblivious modes keep retrying every cycle.
 func (s *Shaper) NextWake(now sim.Cycle) sim.Cycle {
+	s.parked = false
+	if s.outQueue != nil && s.outQueue.Full() && s.bins.creditMode() {
+		if w := s.bins.nextReplenish; w > now+1 {
+			s.parked, s.settled = true, now
+			return w
+		}
+	}
 	return s.bins.nextWake(now, s.queue.Peek() != nil)
+}
+
+// Skip implements sim.Skipper by settling the span (see settle).
+func (s *Shaper) Skip(from, to sim.Cycle) { s.ids.Burn(s.settle(to)) }
+
+// SettleBurns implements mem.Burner (see settle).
+func (s *Shaper) SettleBurns(through sim.Cycle) uint64 { return s.settle(through) }
+
+// settle replays a parked shaper's refused Ticks after settled through
+// cycle through, and returns the IDs they burned for the caller to burn
+// in the ID source. In each replayed cycle whose release verdict admits,
+// the Tick offered the queue head to the full output, stamping it with
+// that cycle, or, with no head, burned a fake's ID and address draw.
+// Verdicts hold across memo intervals, so the replay walks intervals,
+// not cycles (binCore.admits). Skip, the ID source and a mutation from
+// outside (wakeBeforeMutation) all settle, each through the last cycle
+// it must see accounted; settled keeps them from replaying a cycle
+// twice.
+func (s *Shaper) settle(through sim.Cycle) uint64 {
+	if !s.parked || through <= s.settled {
+		return 0
+	}
+	from := s.settled + 1
+	s.settled = through
+	if head := s.queue.Peek(); head != nil {
+		if n, last := s.bins.admits(from, through, false); n > 0 {
+			s.stamp(head, last)
+		}
+		return 0
+	}
+	n, _ := s.bins.admits(from, through, true)
+	s.rng.Discard(n)
+	return n
+}
+
+// wakeBeforeMutation makes the shaper due again before another
+// component changes it. Where sim.WakeHandle.Wake would fold the skipped
+// span into Skip first, the shaper settles itself through the same cycle
+// and is only armed: Skip has nothing left to replay but the kernel
+// still folds the span before the next Tick. Settling in place keeps the
+// replay out of a nested Skip call inside the caller's Tick.
+func (s *Shaper) wakeBeforeMutation() {
+	if through, ok := s.wake.SteppedThrough(); ok {
+		s.ids.Burn(s.settle(through))
+	}
+	s.wake.Arm()
 }
 
 // Tick advances the shaper: replenish if due (on RespC, unused credits
@@ -222,6 +298,7 @@ func (s *Shaper) NextWake(now sim.Cycle) sim.Cycle {
 // In strict periodic mode (the CS baseline) releases happen only at slot
 // boundaries.
 func (s *Shaper) Tick(now sim.Cycle) {
+	s.parked = false
 	if s.bins.periodic() {
 		s.tickPeriodic(now)
 		return
@@ -301,12 +378,10 @@ func (s *Shaper) tickPeriodic(now sim.Cycle) {
 // and records the release; the caller commits the credit. A refusal
 // leaves everything as it was for the retry.
 func (s *Shaper) sendReal(now sim.Cycle, head *mem.Request) bool {
+	s.stamp(head, now)
 	arrived := head.CreatedAt
 	if s.response {
-		head.RespShaped = now
 		arrived = head.ReadyAt
-	} else {
-		head.ShapedAt = now
 	}
 	if !s.out.TrySend(now, head) {
 		return false
@@ -325,7 +400,7 @@ func (s *Shaper) sendReal(now sim.Cycle, head *mem.Request) bool {
 // goes back to the pool.
 func (s *Shaper) sendFake(now sim.Cycle) bool {
 	if s.outFull != nil && s.outFull.Full() {
-		*s.nextID++
+		s.ids.Burn(1)
 		s.rng.Uint64n(FakeAddressSpace / mem.LineSize)
 		return false
 	}
@@ -338,10 +413,19 @@ func (s *Shaper) sendFake(now sim.Cycle) bool {
 	return true
 }
 
+// stamp marks head released at cycle now: RespShaped for RespC,
+// ShapedAt for ReqC.
+func (s *Shaper) stamp(head *mem.Request, now sim.Cycle) {
+	if s.response {
+		head.RespShaped = now
+	} else {
+		head.ShapedAt = now
+	}
+}
+
 func (s *Shaper) newFake(now sim.Cycle) *mem.Request {
-	*s.nextID++
 	fake := s.pool.Get()
-	fake.ID = *s.nextID
+	fake.ID = s.ids.Next()
 	fake.Core = s.core
 	fake.Addr = s.rng.Uint64n(FakeAddressSpace/mem.LineSize) * mem.LineSize
 	fake.Op = mem.Read

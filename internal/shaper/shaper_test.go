@@ -44,9 +44,9 @@ func cfgWith(credits []int, window sim.Cycle, fake bool) Config {
 	}
 }
 
-func newReqShaper(cfg Config) (*Shaper, *port, *uint64) {
+func newReqShaper(cfg Config) (*Shaper, *port, *mem.IDSource) {
 	p := &port{}
-	var id uint64
+	var id mem.IDSource
 	s, err := NewRequestShaper(0, cfg, 16, p, sim.NewRNG(1), &id)
 	if err != nil {
 		panic(err)
@@ -309,7 +309,7 @@ func TestInputQueueBackpressure(t *testing.T) {
 	credits := make([]int, 10)
 	credits[9] = 1
 	p := &port{}
-	var id uint64
+	var id mem.IDSource
 	s, err := NewRequestShaper(0, cfgWith(credits, 4096, false), 2, p, sim.NewRNG(1), &id)
 	if err != nil {
 		t.Fatal(err)

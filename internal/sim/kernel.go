@@ -59,8 +59,8 @@ const NeverWake = Cycle(1<<64 - 1)
 //
 // The hint only covers the component's self-driven work. Work that
 // another component hands it (a push into its queue, a bank freed under
-// it) reaches the kernel through the component's WakeHandle, which the
-// mutator calls first.
+// it, a slot freed in a queue it is parked on) reaches the kernel
+// through the component's WakeHandle, which the mutator calls first.
 //
 // Per-component scheduling only engages when every registered
 // component implements NextWaker; a single hint-less component pins the
@@ -92,7 +92,8 @@ type Skipper interface {
 // mutates the component (a push into its queue, a command that frees or
 // occupies its resources): Wake folds the cycles the component was not
 // ticked into its Skip, so Skip sees the pre-mutation state, and makes
-// the component due again. A component woken by an earlier-registered
+// the component due again. Arm makes it due without the fold, for a
+// change Skip does not read. A component woken by an earlier-registered
 // component (or an event handler) still ticks in the current cycle; one
 // woken by a later-registered component, or between runs, ticks in the
 // next — exactly where a cycle-stepped run would first tick it after the
@@ -116,9 +117,46 @@ func NewWakeHandle(k **Kernel, slot int) WakeHandle { return WakeHandle{k: k, sl
 func (w WakeHandle) Wake() {
 	if w.k != nil {
 		if k := *w.k; k.sched {
-			k.wake(w.slot)
+			k.wake(w.slot, true)
 		}
 	}
+}
+
+// Arm makes the component due again, exactly where Wake would, but
+// leaves its skipped span unfolded: the kernel folds it into Skip just
+// before the component's next Tick. Use it for a change that Skip does
+// not read (a downstream queue freeing a slot for a sender parked on it,
+// a push into a queue the component's Skip ignores), so Skip may still
+// assume the state the component parked in held for the whole span.
+func (w WakeHandle) Arm() {
+	if w.k != nil {
+		if k := *w.k; k.sched {
+			k.wake(w.slot, false)
+		}
+	}
+}
+
+// SteppedThrough returns the last cycle whose Tick a cycle-stepped run
+// would already have given the component at this point of the current
+// cycle: the current cycle when the component comes earlier in tick
+// order than the code now running (or that code runs between cycles),
+// the previous cycle when it comes later (or an event handler is
+// running). A component that settles what it owes for skipped cycles
+// before another one observes it (see mem.IDSource) settles through
+// this cycle. ok is false unless the kernel schedules per component;
+// a stepped kernel leaves no component behind.
+func (w WakeHandle) SteppedThrough() (c Cycle, ok bool) {
+	if w.k == nil {
+		return 0, false
+	}
+	k := *w.k
+	if !k.sched {
+		return 0, false
+	}
+	if w.slot < k.cursor || k.now == 0 {
+		return k.now, true
+	}
+	return k.now - 1, true
 }
 
 // EventKind is a component-defined discriminator for typed events. Kinds
@@ -404,15 +442,16 @@ func (s *slot) fold(to Cycle) {
 	s.last = to
 }
 
-// wake implements WakeHandle.Wake for slot i.
-func (k *Kernel) wake(i int) {
+// wake implements WakeHandle.Wake (fold) and WakeHandle.Arm (no fold)
+// for slot i.
+func (k *Kernel) wake(i int, fold bool) {
 	s := &k.slots[i]
 	now := k.now
 	switch {
 	case i > k.cursor:
 		// Still ahead in this cycle's tick order: fold the cycles before
 		// this one and tick it now.
-		if s.last+1 < now {
+		if fold && s.last+1 < now {
 			s.fold(now - 1)
 		}
 		if s.due > now {
@@ -421,7 +460,7 @@ func (k *Kernel) wake(i int) {
 	case i < k.cursor:
 		// Already passed (or between cycles): this cycle's tick would
 		// have run before the mutation, so fold it and tick next cycle.
-		if s.last < now {
+		if fold && s.last < now {
 			s.fold(now)
 		}
 		if s.due > now+1 {

@@ -150,3 +150,16 @@ func TestShufflePermutes(t *testing.T) {
 		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }
+
+func TestDiscardMatchesDraws(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 17, 1000} {
+		a, b := NewRNG(99), NewRNG(99)
+		for i := uint64(0); i < n; i++ {
+			a.Uint64()
+		}
+		b.Discard(n)
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("Discard(%d): next draw %d, want %d", n, y, x)
+		}
+	}
+}

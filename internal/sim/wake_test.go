@@ -162,3 +162,125 @@ func TestPollKeepsArmedWakes(t *testing.T) {
 		t.Fatalf("ticked at %v after a wake at cycle 0, want [1]", p.ticks)
 	}
 }
+
+// armer arms its target at cycle at without changing it.
+type armer struct {
+	at     Cycle
+	target *parked
+	// foldedAtArm records the target's folded cycle at the Arm.
+	foldedAtArm Cycle
+}
+
+func (a *armer) Tick(now Cycle) {
+	if now == a.at {
+		a.target.wake.Arm()
+		a.foldedAtArm = a.target.folded
+	}
+}
+
+func (a *armer) NextWake(now Cycle) Cycle {
+	if now < a.at {
+		return a.at
+	}
+	return NeverWake
+}
+
+// TestArmDefersFold pins WakeHandle.Arm: it makes a parked component due
+// exactly where Wake would (the next cycle when armed by a later
+// component, this cycle when armed by an earlier one), but folds
+// nothing at the Arm itself. The skipped span is folded in one Skip just
+// before the component's next Tick.
+func TestArmDefersFold(t *testing.T) {
+	const at, cycles = 50, 100
+	cases := []struct {
+		name   string
+		later  bool
+		ticked Cycle
+	}{
+		{"armed by later component", true, at + 1},
+		{"armed by earlier component", false, at},
+	}
+	for _, tc := range cases {
+		k := NewKernel(1)
+		p := &parked{t: t}
+		a := &armer{at: at, target: p}
+		if tc.later {
+			p.wake = NewWakeHandle(&k, k.Register(p))
+			k.Register(a)
+		} else {
+			k.Register(a)
+			p.wake = NewWakeHandle(&k, k.Register(p))
+		}
+		var skips [][2]Cycle
+		k.slots[p.wake.slot].sk = skipFunc(func(from, to Cycle) {
+			skips = append(skips, [2]Cycle{from, to})
+			p.Skip(from, to)
+		})
+		k.Run(cycles)
+		if !slices.Equal(p.ticks, []Cycle{tc.ticked}) {
+			t.Errorf("%s: ticked at %v, want [%d]", tc.name, p.ticks, tc.ticked)
+		}
+		if a.foldedAtArm != 0 {
+			t.Errorf("%s: folded through %d at the Arm, want 0 (no fold)", tc.name, a.foldedAtArm)
+		}
+		want := [][2]Cycle{{1, tc.ticked - 1}, {tc.ticked + 1, cycles}}
+		if !slices.Equal(skips, want) {
+			t.Errorf("%s: skips %v, want %v", tc.name, skips, want)
+		}
+	}
+}
+
+type skipFunc func(from, to Cycle)
+
+func (f skipFunc) Skip(from, to Cycle) { f(from, to) }
+
+// steppedThroughProbe records SteppedThrough of a handle each time it
+// ticks.
+type steppedThroughProbe struct {
+	h   *WakeHandle
+	got []Cycle
+}
+
+func (p *steppedThroughProbe) Tick(Cycle) {
+	c, _ := p.h.SteppedThrough()
+	p.got = append(p.got, c)
+}
+
+func (p *steppedThroughProbe) NextWake(now Cycle) Cycle { return now + 1 }
+
+// TestSteppedThrough pins the settle rule a handle reports: a component
+// earlier in tick order than the running code owes its work through the
+// current cycle, a later one through the previous cycle; event handlers
+// run before every slot and code between cycles after every slot.
+func TestSteppedThrough(t *testing.T) {
+	k := NewKernel(1)
+	var early, late WakeHandle
+	early = NewWakeHandle(&k, k.Register(&parked{t: t}))
+	probeEarly := &steppedThroughProbe{h: &early}
+	probeLate := &steppedThroughProbe{h: &late}
+	k.Register(probeEarly)
+	k.Register(probeLate)
+	late = NewWakeHandle(&k, k.Register(&parked{t: t}))
+	var inEvent Cycle
+	h := k.RegisterHandler(EventHandlerFunc(func(Cycle, EventKind, uint64) {
+		inEvent, _ = early.SteppedThrough()
+	}))
+	k.ScheduleEvent(5, h, 0, 0)
+	k.Run(5)
+	if want := []Cycle{1, 2, 3, 4, 5}; !slices.Equal(probeEarly.got, want) {
+		t.Errorf("earlier component: %v, want %v", probeEarly.got, want)
+	}
+	if want := []Cycle{0, 1, 2, 3, 4}; !slices.Equal(probeLate.got, want) {
+		t.Errorf("later component: %v, want %v", probeLate.got, want)
+	}
+	if inEvent != 4 {
+		t.Errorf("event handler at cycle 5: %d, want 4", inEvent)
+	}
+	if c, ok := late.SteppedThrough(); !ok || c != 5 {
+		t.Errorf("between cycles after cycle 5: %d %v, want 5 true", c, ok)
+	}
+	k.SetFastPath(false)
+	if _, ok := late.SteppedThrough(); ok {
+		t.Error("a stepped kernel reported a component behind")
+	}
+}
