@@ -1,349 +1,20 @@
-// Package camouflage_test is the benchmark harness that regenerates every
-// table and figure of the paper's evaluation (run with
-// `go test -bench=. -benchmem`), plus the ablation studies DESIGN.md calls
-// out. Each benchmark reports its experiment's headline quantity via
-// b.ReportMetric so `bench_output.txt` doubles as the reproduction record;
-// EXPERIMENTS.md interprets the numbers against the paper's.
+// Package camouflage_test holds the repository-wide performance
+// benchmarks and tests: simulator throughput (BenchmarkKernel,
+// BenchmarkKernelTick, BenchmarkSystemThroughput), the mutual-information
+// kernel, observability overhead and the busy-path allocation gate. The
+// paper's tables and figures are regenerated by cmd/experiments, and
+// internal/harness tests assert their shape claims.
 package camouflage_test
 
 import (
-	"context"
 	"testing"
 
-	"camouflage/internal/attack"
 	"camouflage/internal/core"
-	"camouflage/internal/harness"
 	"camouflage/internal/mi"
-	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
 	"camouflage/internal/trace"
 )
-
-// benchCycles trades precision for benchmark runtime.
-const benchCycles sim.Cycle = 200_000
-
-func BenchmarkFig02TradeoffSpace(b *testing.B) {
-	var spread float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.TradeoffSpace(context.Background(), "bzip", benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lo, hi := 1.0, 0.0
-		for _, p := range res.Points {
-			if p.Label == "NoShaping" || p.Label == "CS" {
-				continue
-			}
-			if p.RelPerf < lo {
-				lo = p.RelPerf
-			}
-			if p.RelPerf > hi {
-				hi = p.RelPerf
-			}
-		}
-		spread = hi - lo
-	}
-	b.ReportMetric(spread, "perf-spread")
-}
-
-func BenchmarkFig03ShapedDistributions(b *testing.B) {
-	var csPeak float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.ShapedDistributions(context.Background(), "bzip", benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range res.CS {
-			if p > csPeak {
-				csPeak = p
-			}
-		}
-	}
-	b.ReportMetric(csPeak, "cs-peak-pmf")
-}
-
-func BenchmarkFig04KeyDistortion(b *testing.B) {
-	var distorted float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.KeyDistortion(context.Background(), 0x2AAAAAAA, 32, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		distorted = float64(res.DistortedBits)
-	}
-	b.ReportMetric(distorted, "distorted-bits")
-}
-
-func BenchmarkMIMeasurement(b *testing.B) {
-	var leak float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.MutualInformation(context.Background(), "astar", benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		leak = res.Rows[len(res.Rows)-1].Leakage // ReqC (fake)
-	}
-	b.ReportMetric(leak, "reqc-fake-leakage")
-}
-
-func BenchmarkFig08GAOptimization(b *testing.B) {
-	var final float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.GATimeline(context.Background(), "gcc", "astar", 10, 6, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		final = res.FinalSlowdown
-	}
-	b.ReportMetric(final, "best-avg-slowdown")
-}
-
-func BenchmarkFig09ReturnTimeDiff(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.ReturnTimeDifference(context.Background(), "gcc", benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.FinalNoShaping != 0 {
-			ratio = abs64(res.FinalRespC) / abs64(res.FinalNoShaping)
-		}
-	}
-	b.ReportMetric(ratio, "respc/frfcfs-leak")
-}
-
-func BenchmarkFig10aRespCPerformance(b *testing.B) {
-	var adv float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RespCPerformance(context.Background(), "astar", "mcf", benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		adv = res.GeoMeanAdv
-	}
-	b.ReportMetric(adv, "adv-slowdown-geomean")
-}
-
-func BenchmarkFig10bRespCPerformance(b *testing.B) {
-	var tp float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RespCPerformance(context.Background(), "mcf", "astar", benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tp = res.GeoMeanThroughput
-	}
-	b.ReportMetric(tp, "throughput-slowdown-geomean")
-}
-
-func BenchmarkFig11DistributionAccuracy(b *testing.B) {
-	var maxDev float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.DistributionAccuracy(context.Background(), benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		maxDev = 0
-		for _, app := range res.Apps {
-			if app.MaxAbsDev > maxDev {
-				maxDev = app.MaxAbsDev
-			}
-		}
-	}
-	b.ReportMetric(maxDev, "max-bin-deviation")
-}
-
-func BenchmarkFig12ReqCSpeedup(b *testing.B) {
-	var geo float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.ReqCSpeedup(context.Background(), benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		geo = res.GeoMean
-	}
-	b.ReportMetric(geo, "geomean-speedup-vs-CS")
-}
-
-func BenchmarkFig13aBDCComparison(b *testing.B) {
-	var tpRatio, fsRatio float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.BDCComparison(context.Background(), "astar", false, benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tpRatio = res.GeoMeanTP / res.GeoMeanBDC
-		fsRatio = res.GeoMeanFS / res.GeoMeanBDC
-	}
-	b.ReportMetric(tpRatio, "speedup-vs-TP")
-	b.ReportMetric(fsRatio, "speedup-vs-FS")
-}
-
-func BenchmarkFig13bBDCComparison(b *testing.B) {
-	var tpRatio float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.BDCComparison(context.Background(), "mcf", false, benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tpRatio = res.GeoMeanTP / res.GeoMeanBDC
-	}
-	b.ReportMetric(tpRatio, "speedup-vs-TP")
-}
-
-func BenchmarkFig14Covert(b *testing.B) {
-	benchCovert(b, 0x2AAAAAAA)
-}
-
-func BenchmarkFig15Covert(b *testing.B) {
-	benchCovert(b, 0x01010101)
-}
-
-func benchCovert(b *testing.B, key uint64) {
-	var ber float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.CovertChannel(context.Background(), key, 32, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ber = res.AfterDecode.BER
-	}
-	b.ReportMetric(ber, "camouflaged-BER")
-}
-
-// --- Ablation studies (DESIGN.md §Key design decisions) ---
-
-// ablationSoloIPC runs gcc alone under a request shaper config and
-// returns its IPC.
-func ablationSoloIPC(b *testing.B, cfg shaper.Config) float64 {
-	sys := soloSystem(b, &cfg)
-	sys.Run(benchCycles)
-	return sys.IPC(0)
-}
-
-func soloSystem(b *testing.B, shaperCfg *shaper.Config) *core.System {
-	b.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Cores = 1
-	if shaperCfg != nil {
-		cfg.Scheme = core.ReqC
-		sc := shaperCfg.Clone()
-		cfg.ReqShaperCfg = &sc
-	}
-	p, err := trace.ProfileByName("gcc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := mustGen(p, sim.NewRNG(11))
-	sys, err := core.NewSystem(cfg, []trace.Source{src})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sys
-}
-
-// BenchmarkAblationPolicy compares the three release policies at the same
-// distribution: exact bin matching, MITTS-style at-most, and the oblivious
-// renewal schedule.
-func BenchmarkAblationPolicy(b *testing.B) {
-	for _, pol := range []shaper.Policy{shaper.PolicyExact, shaper.PolicyAtMost, shaper.PolicyOblivious} {
-		b.Run(pol.String(), func(b *testing.B) {
-			var ipc float64
-			for i := 0; i < b.N; i++ {
-				cfg := harness.DesiredStaircase()
-				cfg.Policy = pol
-				ipc = ablationSoloIPC(b, cfg)
-			}
-			b.ReportMetric(ipc, "ipc")
-		})
-	}
-}
-
-// BenchmarkAblationBinCount varies shaper granularity (design decision 2).
-func BenchmarkAblationBinCount(b *testing.B) {
-	for _, bins := range []int{5, 10, 20} {
-		b.Run(binLabel(bins), func(b *testing.B) {
-			var ipc float64
-			for i := 0; i < b.N; i++ {
-				bn := stats.ExponentialBinning(bins, 2)
-				credits := make([]int, bins)
-				for j := range credits {
-					credits[j] = bins - j
-				}
-				cfg := shaper.Config{
-					Binning: bn, Credits: credits, Window: 4096,
-					GenerateFake: true, Policy: shaper.PolicyExact,
-				}
-				ipc = ablationSoloIPC(b, cfg)
-			}
-			b.ReportMetric(ipc, "ipc")
-		})
-	}
-}
-
-// BenchmarkAblationWindowSize sweeps the replenishment window (design
-// decision 4): shorter windows bound transition leakage but cost
-// throughput headroom.
-func BenchmarkAblationWindowSize(b *testing.B) {
-	for _, window := range []sim.Cycle{512, 1024, 4096} {
-		b.Run(binLabel(int(window)), func(b *testing.B) {
-			var ber float64
-			for i := 0; i < b.N; i++ {
-				base := harness.CovertDefenseConfig()
-				base.Window = window
-				// Scale credits so bandwidth stays constant across
-				// windows.
-				scale := float64(window) / float64(shaper.DefaultWindow)
-				for j := range base.Credits {
-					base.Credits[j] = int(float64(base.Credits[j])*scale + 0.5)
-				}
-				ber = covertBERWith(b, base)
-			}
-			b.ReportMetric(ber, "covert-BER")
-		})
-	}
-}
-
-// BenchmarkAblationFakeTraffic isolates the fake traffic generator (design
-// decision 3): without it the shaped distribution cannot be completed and
-// the covert channel survives.
-func BenchmarkAblationFakeTraffic(b *testing.B) {
-	for _, fake := range []bool{false, true} {
-		name := "off"
-		if fake {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var ber float64
-			for i := 0; i < b.N; i++ {
-				cfg := harness.CovertDefenseConfig()
-				cfg.GenerateFake = fake
-				ber = covertBERWith(b, cfg)
-			}
-			b.ReportMetric(ber, "covert-BER")
-		})
-	}
-}
-
-func covertBERWith(b *testing.B, shCfg shaper.Config) float64 {
-	b.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Cores = 1
-	cfg.Scheme = core.ReqC
-	sc := shCfg.Clone()
-	cfg.ReqShaperCfg = &sc
-	sender := trace.NewCovertSender(0x2AAAAAAA, 32, harness.CovertPulse, 2, true)
-	sys, err := core.NewSystem(cfg, []trace.Source{sender})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mon := attack.NewBusMonitor(0)
-	sys.ReqNet.AddTap(mon.Observe)
-	sys.Run(harness.CovertPulse * 34)
-	counts := mon.WindowCounts(0, harness.CovertPulse, 32)
-	return attack.DecodeCovertChannel(counts, sender.Bits()).BER
-}
 
 // BenchmarkKernelTick measures the cycle-stepped kernel's raw overhead
 // (design decision 1).
@@ -398,147 +69,6 @@ func BenchmarkMIComputation(b *testing.B) {
 		v = mi.SequenceMI(x, y, bn)
 	}
 	b.ReportMetric(v, "mi-bits")
-}
-
-func abs64(v int64) float64 {
-	if v < 0 {
-		return float64(-v)
-	}
-	return float64(v)
-}
-
-func binLabel(n int) string {
-	digits := [...]string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "9"}
-	if n == 0 {
-		return "0"
-	}
-	out := ""
-	for n > 0 {
-		out = digits[n%10] + out
-		n /= 10
-	}
-	return out
-}
-
-// BenchmarkScalability reproduces the §II-B argument: TP overhead grows
-// with the number of mutually distrusting domains, Camouflage's does not.
-func BenchmarkScalability(b *testing.B) {
-	var tp16, cam16 float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.Scalability(context.Background(), []int{4, 16}, benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Rows[len(res.Rows)-1]
-		tp16, cam16 = last.TPSlowdown, last.CamouflageSlowdown
-	}
-	b.ReportMetric(tp16, "tp-slowdown-16core")
-	b.ReportMetric(cam16, "camouflage-slowdown-16core")
-}
-
-// BenchmarkEpochRateComparison quantifies the related-work trade-off
-// between Ascend CS, Fletcher epoch rates and Camouflage.
-func BenchmarkEpochRateComparison(b *testing.B) {
-	var camOverCS float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.EpochRateComparison(context.Background(), "gcc", benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var cs, cam float64
-		for _, r := range res.Rows {
-			switch r.Scheme {
-			case "CS (fixed rate)":
-				cs = r.IPC
-			case "Camouflage (ReqC)":
-				cam = r.IPC
-			}
-		}
-		if cs > 0 {
-			camOverCS = cam / cs
-		}
-	}
-	b.ReportMetric(camOverCS, "camouflage/cs-ipc")
-}
-
-// BenchmarkWithinWindowLeakage sweeps §IV-B4's window-size knob.
-func BenchmarkWithinWindowLeakage(b *testing.B) {
-	var spread float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.WithinWindowLeakage(context.Background(), "bzip", nil, benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lo, hi := res.Rows[0].MI, res.Rows[0].MI
-		for _, r := range res.Rows {
-			if r.MI < lo {
-				lo = r.MI
-			}
-			if r.MI > hi {
-				hi = r.MI
-			}
-		}
-		spread = hi - lo
-	}
-	b.ReportMetric(spread, "mi-spread-bits")
-}
-
-// BenchmarkPhaseDetection measures the §II-A phase-inference side channel
-// and its closure by RespC.
-func BenchmarkPhaseDetection(b *testing.B) {
-	var before, after float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.PhaseDetection(context.Background(), 2*benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		before, after = res.Unprotected.Accuracy, res.Protected.Accuracy
-	}
-	b.ReportMetric(before, "accuracy-frfcfs")
-	b.ReportMetric(after, "accuracy-respc")
-}
-
-// BenchmarkMITTSFairness exercises the shaper in its original MITTS role.
-func BenchmarkMITTSFairness(b *testing.B) {
-	var tenant float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.MITTSFairness(context.Background(), benchCycles, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tenant = res.WorstTenantShaped
-	}
-	b.ReportMetric(tenant, "worst-tenant-slowdown")
-}
-
-// BenchmarkAblationPagePolicy compares open-page (row-buffer fast path,
-// history-dependent timing) with closed-page (uniform timing) DRAM.
-func BenchmarkAblationPagePolicy(b *testing.B) {
-	for _, closed := range []bool{false, true} {
-		name := "open"
-		if closed {
-			name = "closed"
-		}
-		b.Run(name, func(b *testing.B) {
-			var ipc float64
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig()
-				cfg.Cores = 1
-				cfg.ClosedPage = closed
-				p, err := trace.ProfileByName("libqt")
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys, err := core.NewSystem(cfg, []trace.Source{mustGen(p, sim.NewRNG(5))})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys.Run(benchCycles)
-				ipc = sys.IPC(0)
-			}
-			b.ReportMetric(ipc, "ipc")
-		})
-	}
 }
 
 // mustGen panics on generator construction errors; the benchmarks use

@@ -16,6 +16,7 @@ import (
 	"camouflage/internal/harness"
 	"camouflage/internal/iofault"
 	"camouflage/internal/sim"
+	"camouflage/internal/trace"
 )
 
 // fastOpts returns options with millisecond backoff so retry tests do
@@ -95,11 +96,15 @@ func faultedSoloRun(ctx context.Context, opt fault.Options, checks bool, cycles 
 	ref := cfg.Timing
 	inj := fault.NewInjector(opt, sim.NewRNG(seed+99))
 	cfg.Timing = inj.PerturbTiming(cfg.Timing)
-	srcs, err := harness.SoloSource("gcc", seed+77)
+	p, err := trace.ProfileByName("gcc")
 	if err != nil {
 		return fault.Stats{}, err
 	}
-	sys, err := core.NewSystem(cfg, srcs)
+	src, err := trace.NewGenerator(p, sim.NewRNG(seed+77))
+	if err != nil {
+		return fault.Stats{}, err
+	}
+	sys, err := core.NewSystem(cfg, []trace.Source{src})
 	if err != nil {
 		return fault.Stats{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"camouflage/internal/attack"
+	"camouflage/internal/core"
 	"camouflage/internal/shaper"
 	"camouflage/internal/sim"
 	"camouflage/internal/stats"
@@ -56,32 +57,29 @@ type CovertChannelResult struct {
 // in both runs.
 func CovertChannel(ctx context.Context, key uint64, keyLen int, seed uint64) (*CovertChannelResult, error) {
 	res := &CovertChannelResult{Key: key, KeyLen: keyLen}
-	cycles := CovertPulse * sim.Cycle(keyLen+2)
-
-	run := func(shaped bool) ([]int, error) {
-		cfg := seeded(1, seed)
-		if shaped {
-			cfg = withReqC(cfg, CovertDefenseConfig())
-		}
-		sender := trace.NewCovertSender(key, keyLen, CovertPulse, 2, true)
-		res.SentBits = sender.Bits()
-		r, err := Run{Config: cfg, Sources: []trace.Source{sender}, Cycles: cycles, Bus: true}.Do(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return r.Bus.WindowCounts(0, CovertPulse, keyLen), nil
-	}
-
+	cfg := seeded(1, seed)
 	var err error
-	if res.BeforeCounts, err = run(false); err != nil {
+	if res.BeforeCounts, res.SentBits, err = covertCounts(ctx, cfg, key, keyLen); err != nil {
 		return nil, err
 	}
-	if res.AfterCounts, err = run(true); err != nil {
+	if res.AfterCounts, _, err = covertCounts(ctx, withReqC(cfg, CovertDefenseConfig()), key, keyLen); err != nil {
 		return nil, err
 	}
 	res.BeforeDecode = attack.DecodeCovertChannel(res.BeforeCounts, res.SentBits)
 	res.AfterDecode = attack.DecodeCovertChannel(res.AfterCounts, res.SentBits)
 	return res, nil
+}
+
+// covertCounts runs the Algorithm 1 sender alone on the one core of cfg
+// for keyLen+2 pulses and returns the bus transaction count of each of
+// the first keyLen pulses and the bits sent.
+func covertCounts(ctx context.Context, cfg core.Config, key uint64, keyLen int) (counts, sent []int, err error) {
+	sender := trace.NewCovertSender(key, keyLen, CovertPulse, 2, true)
+	r, err := Run{Config: cfg, Sources: []trace.Source{sender}, Cycles: CovertPulse * sim.Cycle(keyLen+2), Bus: true}.Do(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.Bus.WindowCounts(0, CovertPulse, keyLen), sender.Bits(), nil
 }
 
 // Table renders the result, with sparklines standing in for the paper's

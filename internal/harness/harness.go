@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"camouflage/internal/sim"
-	"camouflage/internal/trace"
 )
 
 // DefaultRunCycles is the default measured-run length. It is long enough
@@ -23,11 +22,6 @@ const WarmupCycles sim.Cycle = 50_000
 
 // AdversaryName labels the adversary slot in workload reports.
 const AdversaryName = "ADVERSARY"
-
-// SoloSource builds a single-benchmark source list for a 1-core system.
-func SoloSource(name string, seed uint64) ([]trace.Source, error) {
-	return Run{Benchmarks: []string{name}, TraceSeed: seed}.sources()
-}
 
 // Table renders rows of labelled values as an aligned text table.
 type Table struct {

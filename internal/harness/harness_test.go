@@ -126,13 +126,6 @@ func TestShapedRunsPublishObs(t *testing.T) {
 	}
 }
 
-func TestSoloSource(t *testing.T) {
-	srcs, err := SoloSource("mcf", 3)
-	if err != nil || len(srcs) != 1 {
-		t.Fatalf("solo source: %v, %d", err, len(srcs))
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Title: "T", Columns: []string{"a", "bb"}}
 	tb.AddRow("x", "y")

@@ -9,6 +9,7 @@ import (
 	"camouflage/internal/fault"
 	"camouflage/internal/mi"
 	"camouflage/internal/sim"
+	"camouflage/internal/trace"
 )
 
 // robustnessDevTol is the largest |shaped − desired| per bin per window
@@ -109,11 +110,10 @@ func robustnessRun(ctx context.Context, tc RobustnessCase, cycles sim.Cycle, see
 	inj := fault.NewInjector(tc.Opt, sim.NewRNG(seed+99))
 	cfg.Timing = inj.PerturbTiming(cfg.Timing)
 
-	srcs, err := SoloSource("gcc", seed+77)
+	srcs, err := robustnessSources(inj, seed)
 	if err != nil {
 		return row, err
 	}
-	srcs[0] = inj.Corrupt(srcs[0])
 	sys, observed, err := Run{Config: cfg, Sources: srcs, Bus: true}.Build(ctx)
 	if err != nil {
 		return row, err
@@ -183,11 +183,10 @@ func robustnessRun(ctx context.Context, tc RobustnessCase, cycles sim.Cycle, see
 // the trace identically.
 func robustnessMILeak(ctx context.Context, tc RobustnessCase, observed []sim.Cycle, cycles sim.Cycle, seed uint64) (float64, error) {
 	inj := fault.NewInjector(tc.Opt, sim.NewRNG(seed+99))
-	srcs, err := SoloSource("gcc", seed+77)
+	srcs, err := robustnessSources(inj, seed)
 	if err != nil {
 		return -1, err
 	}
-	srcs[0] = inj.Corrupt(srcs[0])
 	res, err := Run{Config: seeded(1, seed), Sources: srcs, Cycles: cycles, Bus: true}.Do(ctx)
 	if err != nil {
 		return -1, err
@@ -239,4 +238,14 @@ func (r *RobustnessResult) String() string {
 		parts[i] = row.Fault + "=" + row.Verdict
 	}
 	return strings.Join(parts, " ")
+}
+
+// robustnessSources is solo gcc's trace as corrupted by inj.
+func robustnessSources(inj *fault.Injector, seed uint64) ([]trace.Source, error) {
+	srcs, err := Run{Benchmarks: []string{"gcc"}, TraceSeed: seed + 77}.sources()
+	if err != nil {
+		return nil, err
+	}
+	srcs[0] = inj.Corrupt(srcs[0])
+	return srcs, nil
 }

@@ -35,21 +35,30 @@ ckdir="$workdir/ckpts"
 "$workdir/camsim" -scheme bdc -cycles "$CYCLES" >"$workdir/reference.txt" 2>/dev/null
 
 # Victim: checkpointing run, killed with SIGKILL once a checkpoint lands.
+# The run takes about 0.1 s, so the wait is a builtin-only spin on the
+# checkpoint glob: a sleeping poll can miss the whole run.
 "$workdir/camsim" -scheme bdc -cycles "$CYCLES" \
   -checkpoint-dir "$ckdir" -checkpoint-every "$EVERY" \
   >"$workdir/killed.txt" 2>"$workdir/killed.err" &
 pid=$!
 pids=$pid
-for _ in $(seq 1 600); do
-  if ls "$ckdir"/*.camckpt >/dev/null 2>&1; then
+shopt -s nullglob
+SECONDS=0
+while :; do
+  ckpts=("$ckdir"/*.camckpt)
+  if [ "${#ckpts[@]}" -gt 0 ]; then
     break
   fi
   if ! kill -0 "$pid" 2>/dev/null; then
     echo "ckpt-smoke: run exited before writing a checkpoint" >&2
     exit 1
   fi
-  sleep 0.05
+  if [ "$SECONDS" -ge 30 ]; then
+    echo "ckpt-smoke: no checkpoint after 30 s" >&2
+    exit 1
+  fi
 done
+shopt -u nullglob
 if ! kill -0 "$pid" 2>/dev/null; then
   echo "ckpt-smoke: run finished before the kill; raise CYCLES" >&2
   exit 1
