@@ -82,7 +82,7 @@ func superviseSelf(stall time.Duration, memLimit int64, ckptDir, resumeFrom stri
 		res := campaign.RunProc(ctx, campaign.ProcSpec{
 			Command:      append([]string{exe}, args...),
 			Env:          append(os.Environ(), fmt.Sprintf("%s=%d", heartbeatEnv, hbEvery.Milliseconds())),
-			StdoutBuf:    &out,
+			Stdout:       &out,
 			Stderr:       os.Stderr,
 			StallTimeout: stall,
 			MemLimit:     memLimit,

@@ -17,11 +17,11 @@ import (
 )
 
 // Process-isolation soak: each iteration runs a small campaign under
-// -isolation=process where one worker SIGKILLs itself mid-job after
-// checkpointing. The supervisor must restart it, the retry must resume
-// from the checkpoint, and every table must come out byte-identical to
-// an undisturbed in-process campaign. chaossoak re-execs itself as the
-// worker binary (see the WorkerFlag check in main).
+// -isolation=process where one worker SIGKILLs itself mid-job. The
+// supervisor must restart it, the retry runs the job again from the
+// start, and every table must come out byte-identical to an undisturbed
+// in-process campaign. chaossoak re-execs itself as the worker binary
+// (see the WorkerFlag check in main).
 
 // soakWorkerJobs is the job list shared by the soak's supervisor and its
 // re-exec'd workers. Misbehaviour is gated on InWorker() and the attempt
@@ -60,21 +60,14 @@ func soakWorkerJobs() []campaign.Job {
 	}
 }
 
-// runSoakSim is the clean path: resume from the latest checkpoint if one
-// survives, run to total, and render a deterministic table.
+// runSoakSim is the clean path: run to total and render a deterministic
+// table.
 func runSoakSim(ctx context.Context, name string, total sim.Cycle) (*harness.Table, error) {
 	sys, err := buildSystem(ctx)
 	if err != nil {
 		return nil, err
 	}
-	remaining := total
-	if h, payload, ok := campaign.LatestCheckpoint(ctx, core.ConfigHash(soakConfig())); ok {
-		if err := sys.RestoreState(h, payload); err != nil {
-			return nil, err
-		}
-		remaining = total - sim.Cycle(h.Cycle)
-	}
-	if err := sys.RunContext(ctx, remaining); err != nil {
+	if err := sys.RunContext(ctx, total); err != nil {
 		return nil, err
 	}
 	tb := &harness.Table{Title: name, Columns: []string{"metric", "value"}}
@@ -101,11 +94,6 @@ func (s *soak) processIsolation(iterSeed uint64) error {
 	if err != nil {
 		return err
 	}
-	dir, err := os.MkdirTemp("", "chaossoak-pi")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
 	sum, err := campaign.Run(context.Background(), jobs, campaign.Options{
 		Workers: 2,
 		Retries: 2,
@@ -113,7 +101,6 @@ func (s *soak) processIsolation(iterSeed uint64) error {
 		Seed:           iterSeed,
 		Isolation:      campaign.IsolationProcess,
 		WorkerCommand:  []string{exe, campaign.WorkerFlag},
-		CheckpointDir:  dir,
 		HeartbeatEvery: 50 * time.Millisecond,
 		StallTimeout:   30 * time.Second,
 		Log:            func(string, ...any) {},
@@ -133,7 +120,7 @@ func (s *soak) processIsolation(iterSeed uint64) error {
 		switch res.Job.Name {
 		case "pi-crash":
 			if res.Attempts != 2 {
-				return fmt.Errorf("pi-crash took %d attempts, want 2 (one SIGKILL death, one resumed retry)", res.Attempts)
+				return fmt.Errorf("pi-crash took %d attempts, want 2 (one SIGKILL death, one retry)", res.Attempts)
 			}
 		case "pi-ok":
 			if res.Attempts != 1 {

@@ -12,7 +12,7 @@
 //     (must degrade to disabled);
 //  3. runs a small campaign under process isolation whose worker
 //     SIGKILLs itself mid-job: the supervisor must restart it, the retry
-//     must resume from its checkpoint, and every table must be
+//     runs the job again from cycle 0, and every table must be
 //     byte-identical to an undisturbed in-process campaign;
 //  4. checks for goroutine leaks and unbounded heap growth.
 //
@@ -283,31 +283,18 @@ func cleanSystemState() ([]byte, error) {
 	return encodeState(sys)
 }
 
-// soakConfig is the configuration every in-process soak simulation uses;
-// checkpoint resumes hash it to validate compatibility.
-func soakConfig() core.Config {
+// buildSystem builds the soak's reference system, the one every
+// in-process soak simulation runs, armed with the heartbeat sink and obs
+// bundle ctx carries.
+func buildSystem(ctx context.Context) (*core.System, error) {
 	cfg := core.DefaultConfig()
 	cfg.Cores = 2
-	return cfg
-}
-
-// buildSystem builds the soak's reference system, armed with the
-// heartbeat sink and obs bundle ctx carries and, inside a campaign job,
-// checkpointing into the job's directory.
-func buildSystem(ctx context.Context) (*core.System, error) {
-	cfg := soakConfig()
 	sources, err := scenario.Sources([]string{"gcc", "astar"}, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	sys, _, err := harness.Run{Config: cfg, Sources: sources}.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if dir, ok := campaign.CheckpointDir(ctx); ok {
-		sys.SetCheckpointPolicy(core.CheckpointPolicy{Dir: dir, Every: core.SuperviseStride})
-	}
-	return sys, nil
+	return sys, err
 }
 
 func encodeState(sys *core.System) ([]byte, error) {

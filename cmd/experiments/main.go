@@ -71,7 +71,6 @@ func main() {
 	isolation := flag.String("isolation", "inproc", "job execution mode: inproc (jobs run in this process) or process (each attempt runs in a re-exec'd worker supervised for liveness)")
 	memLimit := flag.String("mem-limit", "", "with -isolation=process: kill and retry a worker whose RSS exceeds this (e.g. 2GiB; empty = no ceiling)")
 	stallTimeout := flag.Duration("stall-timeout", campaign.DefaultStallTimeout, "with -isolation=process: escalate a worker with no heartbeat for this long (SIGTERM, then SIGKILL)")
-	ckptRoot := flag.String("checkpoint-dir", "", "per-job crash-safe checkpoints under this directory; a retried or restarted job resumes mid-simulation")
 	flag.Parse()
 
 	c := sim.Cycle(*cycles)
@@ -153,7 +152,6 @@ func main() {
 		WorkerCommand: workerCmd,
 		MemLimit:      memBytes,
 		StallTimeout:  *stallTimeout,
-		CheckpointDir: *ckptRoot,
 		Registry:      reg,
 		History:       hist,
 		Alerts:        monitor,

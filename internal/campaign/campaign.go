@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -57,12 +58,6 @@ type Options struct {
 	// context is canceled before they are hard-canceled too. Zero cancels
 	// in-flight jobs immediately.
 	Grace time.Duration
-	// CheckpointDir, when non-empty, gives every job a private
-	// checkpoint directory (<CheckpointDir>/<spec-hash>) through its
-	// context — see CheckpointDir/LatestCheckpoint. A retried or resumed
-	// job restores from its latest valid checkpoint instead of starting
-	// the simulation over; a Done job's directory is removed.
-	CheckpointDir string
 	// Journal, when non-nil, records every terminal outcome and seeds
 	// Resume.
 	Journal *Journal
@@ -94,7 +89,7 @@ type Options struct {
 	WorkerCommand []string
 	// MemLimit is the per-worker RSS ceiling in bytes (0 = none). A
 	// heartbeat reporting a larger RSS gets the worker SIGKILLed and the
-	// attempt retried as transient, resuming from its checkpoints.
+	// attempt retried as transient.
 	MemLimit int64
 	// HeartbeatEvery throttles worker heartbeat frames (0 selects
 	// DefaultHeartbeatEvery).
@@ -413,9 +408,6 @@ func runJob(ctx, graceCtx context.Context, res *Result, opt Options, exec execut
 		if opt.JobTimeout > 0 {
 			jobCtx, cancel = context.WithTimeout(graceCtx, opt.JobTimeout)
 		}
-		if opt.CheckpointDir != "" {
-			jobCtx = WithCheckpointDir(jobCtx, jobCheckpointDir(opt.CheckpointDir, res.Hash))
-		}
 		table, err := exec.Execute(jobCtx, res.Job, attempt)
 		if cancel != nil {
 			cancel()
@@ -425,7 +417,6 @@ func runJob(ctx, graceCtx context.Context, res *Result, opt Options, exec execut
 			res.Table = table
 			res.Err = nil
 			opt.Progress.set(res.Hash, StateDone, attempt, nil)
-			clearCheckpoints(opt.CheckpointDir, res.Hash)
 			return
 		}
 		// A job may return a table alongside its error (a measured result
@@ -488,12 +479,14 @@ func retryOffsetsMS(res *Result) []int64 {
 	return out
 }
 
-// runAttempt runs the job once, converting a panic into a fatal error so
-// one broken experiment cannot take down the whole campaign.
+// runAttempt runs the job once, converting a panic into a fatal error
+// carrying the job name and stack, so one broken experiment cannot take
+// down the whole campaign. A panic is never retried: the same job
+// panics the same way on every attempt.
 func runAttempt(ctx context.Context, job Job, attempt int) (table *harness.Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			table, err = nil, Fatal(fmt.Errorf("job %q panicked: %v", job.Name, r))
+			table, err = nil, Fatal(fmt.Errorf("job %q panicked: %v\n%s", job.Name, r, debug.Stack()))
 		}
 	}()
 	return job.Run(ctx, attempt)

@@ -87,6 +87,42 @@ func TestDuplicateSpecHashRejected(t *testing.T) {
 	}
 }
 
+// TestPanickingJobFailsOnceWithStack: a panicking job fails fatally on
+// its first attempt, with its name, the panic value and the stack in
+// its error, and the job after it still runs.
+func TestPanickingJobFailsOnceWithStack(t *testing.T) {
+	var runs atomic.Int32
+	boom := Job{
+		Name: "panicky",
+		Spec: "panics",
+		Run: func(ctx context.Context, attempt int) (*harness.Table, error) {
+			runs.Add(1)
+			panic("exploding experiment")
+		},
+	}
+	opt := fastOpts()
+	opt.Retries = 2
+	sum, err := Run(context.Background(), []Job{boom, trivialJob("next")}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sum.Results[0]
+	if res.Status != Failed || res.Class != ClassFatal {
+		t.Fatalf("status %s class %v, want Failed/ClassFatal (err: %v)", res.Status, res.Class, res.Err)
+	}
+	if res.Attempts != 1 || runs.Load() != 1 {
+		t.Fatalf("panicking job ran %d times (%d attempts), want 1", runs.Load(), res.Attempts)
+	}
+	for _, want := range []string{`"panicky"`, "exploding experiment", "goroutine"} {
+		if !strings.Contains(res.Err.Error(), want) {
+			t.Fatalf("error lacks %q: %v", want, res.Err)
+		}
+	}
+	if next := sum.Results[1]; next.Status != Done {
+		t.Fatalf("job after the panic ended %s: %v", next.Status, next.Err)
+	}
+}
+
 // faultedSoloRun simulates a short solo gcc run with the given faults
 // injected, returning the injector stats and the run error.
 func faultedSoloRun(ctx context.Context, opt fault.Options, checks bool, cycles sim.Cycle, seed uint64) (fault.Stats, error) {

@@ -1,173 +1,11 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
-	"os"
 	"testing"
 
 	"camouflage/internal/ckpt"
-	"camouflage/internal/core"
-	"camouflage/internal/harness"
-	"camouflage/internal/sim"
-	"camouflage/internal/trace"
 )
-
-// simJobSources builds a deterministic 4-core workload.
-func simJobSources(t *testing.T) []trace.Source {
-	t.Helper()
-	rng := sim.NewRNG(17)
-	names := []string{"mcf", "astar", "gcc", "apache"}
-	srcs := make([]trace.Source, len(names))
-	for i, n := range names {
-		p, err := trace.ProfileByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if srcs[i], err = trace.NewGenerator(p, rng.Fork()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return srcs
-}
-
-// checkpointingSimJob is a campaign job running a real simulation that
-// checkpoints through the campaign-provided directory and resumes from
-// the latest valid checkpoint on retry. crashAfterFirstHalf makes
-// attempt 1 fail transiently halfway through.
-func checkpointingSimJob(t *testing.T, name string, total sim.Cycle, resumedAt *[]uint64) Job {
-	cfg := core.DefaultConfig()
-	return Job{
-		Name: name,
-		Spec: fmt.Sprintf("cycles=%d seed=%d", total, cfg.Seed),
-		Run: func(ctx context.Context, attempt int) (*harness.Table, error) {
-			sys, err := core.NewSystem(cfg, simJobSources(t))
-			if err != nil {
-				return nil, err
-			}
-			remaining := total
-			if h, payload, ok := LatestCheckpoint(ctx, core.ConfigHash(cfg)); ok {
-				if err := sys.RestoreState(h, payload); err != nil {
-					return nil, err
-				}
-				*resumedAt = append(*resumedAt, h.Cycle)
-				remaining = total - sim.Cycle(h.Cycle)
-			} else {
-				*resumedAt = append(*resumedAt, 0)
-			}
-			if dir, ok := CheckpointDir(ctx); ok {
-				sys.SetCheckpointPolicy(core.CheckpointPolicy{Dir: dir, Every: core.SuperviseStride})
-			}
-			if attempt == 1 {
-				// Simulated crash halfway: run far enough for checkpoints
-				// to land, then fail transiently.
-				if err := sys.Run(remaining / 2); err != nil {
-					return nil, err
-				}
-				return nil, Transient(fmt.Errorf("injected crash at cycle %d", sys.Kernel.Now()))
-			}
-			if err := sys.Run(remaining); err != nil {
-				return nil, err
-			}
-			return &harness.Table{Title: name, Columns: []string{"work"},
-				Rows: [][]string{{fmt.Sprint(sys.TotalWork())}}}, nil
-		},
-	}
-}
-
-// TestRetryResumesFromCheckpoint: attempt 1 checkpoints and "crashes";
-// the retry must pick up mid-simulation from the latest checkpoint, not
-// restart from cycle 0, and the finished job's checkpoints are removed.
-func TestRetryResumesFromCheckpoint(t *testing.T) {
-	const total = 4 * core.SuperviseStride
-	dir := t.TempDir()
-	var resumedAt []uint64
-	job := checkpointingSimJob(t, "ckpt-job", total, &resumedAt)
-
-	opt := fastOpts()
-	opt.Retries = 2
-	opt.CheckpointDir = dir
-	sum, err := Run(context.Background(), []Job{job}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sum.Results[0]
-	if res.Status != Done {
-		t.Fatalf("job ended %s: %v", res.Status, res.Err)
-	}
-	if res.Attempts != 2 {
-		t.Fatalf("job took %d attempts, want 2", res.Attempts)
-	}
-	if len(resumedAt) != 2 || resumedAt[0] != 0 {
-		t.Fatalf("attempt history %v: first attempt must start clean", resumedAt)
-	}
-	if resumedAt[1] == 0 {
-		t.Fatal("retry started from cycle 0 — checkpoint not used")
-	}
-	if resumedAt[1] > uint64(total/2) {
-		t.Fatalf("retry resumed at cycle %d, beyond the crash point %d", resumedAt[1], total/2)
-	}
-	if _, err := os.Stat(jobCheckpointDir(dir, res.Hash)); !os.IsNotExist(err) {
-		t.Fatalf("finished job's checkpoint dir survived: %v", err)
-	}
-}
-
-// TestResumeFallsBackOnCorruptCheckpoint: when every checkpoint file is
-// damaged, LatestCheckpoint reports nothing to resume and the retry
-// cleanly restarts — corruption must never fail the job.
-func TestResumeFallsBackOnCorruptCheckpoint(t *testing.T) {
-	const total = 2 * core.SuperviseStride
-	dir := t.TempDir()
-	var resumedAt []uint64
-	job := checkpointingSimJob(t, "ckpt-corrupt", total, &resumedAt)
-	// Corrupt every checkpoint the first attempt writes, before the retry.
-	orig := job.Run
-	job.Run = func(ctx context.Context, attempt int) (*harness.Table, error) {
-		if attempt == 2 {
-			jdir, _ := CheckpointDir(ctx)
-			ents, _ := os.ReadDir(jdir)
-			for _, e := range ents {
-				os.WriteFile(jdir+"/"+e.Name(), []byte("damaged"), 0o644)
-			}
-		}
-		return orig(ctx, attempt)
-	}
-
-	opt := fastOpts()
-	opt.Retries = 1
-	opt.CheckpointDir = dir
-	sum, err := Run(context.Background(), []Job{job}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sum.Results[0]
-	if res.Status != Done {
-		t.Fatalf("job ended %s: %v", res.Status, res.Err)
-	}
-	if len(resumedAt) != 2 || resumedAt[1] != 0 {
-		t.Fatalf("attempt history %v: corrupted checkpoints must force a clean restart", resumedAt)
-	}
-}
-
-// TestLatestCheckpointRejectsConfigMismatch: a checkpoint from a
-// different configuration (different hash) is not offered for resume.
-func TestLatestCheckpointRejectsConfigMismatch(t *testing.T) {
-	dir := t.TempDir()
-	mgr := ckpt.NewManager(dir, 2)
-	if _, err := mgr.Save(ckpt.Header{ConfigHash: 111, Cycle: 500}, []byte("state")); err != nil {
-		t.Fatal(err)
-	}
-	ctx := WithCheckpointDir(context.Background(), dir)
-	if _, _, ok := LatestCheckpoint(ctx, 222); ok {
-		t.Fatal("checkpoint with mismatched config hash offered for resume")
-	}
-	if h, _, ok := LatestCheckpoint(ctx, 111); !ok || h.Cycle != 500 {
-		t.Fatalf("matching checkpoint not offered: ok=%v h=%+v", ok, h)
-	}
-	if _, _, ok := LatestCheckpoint(context.Background(), 111); ok {
-		t.Fatal("resume offered without a campaign checkpoint dir")
-	}
-}
 
 // TestClassifyCorruptCheckpointFatal: surfaced checkpoint corruption is
 // never retried — the bytes decode identically every time.

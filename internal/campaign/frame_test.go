@@ -128,7 +128,7 @@ func TestWriteFrameJSONRejectsOversizePayload(t *testing.T) {
 // generic writer and the heartbeat reader.
 func TestFrameRoundTripGeneric(t *testing.T) {
 	var buf bytes.Buffer
-	want := HeartbeatFrame{Kind: FrameDone, Cycle: 42, RSS: 1 << 20, CkptSaveFails: 3}
+	want := HeartbeatFrame{Kind: FrameDone, Cycle: 42, RSS: 1 << 20}
 	if err := WriteFrameJSON(&buf, want); err != nil {
 		t.Fatalf("WriteFrameJSON: %v", err)
 	}

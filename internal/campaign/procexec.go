@@ -36,11 +36,10 @@ type ProcSpec struct {
 	Env []string
 	// Stdin, when non-nil, is fed to the child's stdin.
 	Stdin []byte
-	// Stdout and Stderr receive the child's output (nil discards).
-	Stdout, Stderr *os.File
-	// StdoutBuf, when non-nil, captures stdout into a buffer instead of
-	// Stdout (the worker response travels this way).
-	StdoutBuf *bytes.Buffer
+	// Stdout captures the child's stdout, where the worker response
+	// travels; Stderr receives its stderr. Nil discards either.
+	Stdout *bytes.Buffer
+	Stderr *os.File
 	// StallTimeout is the heartbeat-silence threshold before escalation
 	// (<=0 selects DefaultStallTimeout).
 	StallTimeout time.Duration
@@ -108,9 +107,7 @@ func RunProc(ctx context.Context, spec ProcSpec) ProcResult {
 	if spec.Stdin != nil {
 		cmd.Stdin = bytes.NewReader(spec.Stdin)
 	}
-	if spec.StdoutBuf != nil {
-		cmd.Stdout = spec.StdoutBuf
-	} else if spec.Stdout != nil {
+	if spec.Stdout != nil {
 		cmd.Stdout = spec.Stdout
 	}
 	if spec.Stderr != nil {
@@ -269,7 +266,6 @@ func (e *procExecutor) notePeak(rss int64) {
 }
 
 func (e *procExecutor) Execute(ctx context.Context, job Job, attempt int) (*harness.Table, error) {
-	dir, _ := CheckpointDir(ctx)
 	hbEvery := e.opt.HeartbeatEvery
 	if hbEvery <= 0 {
 		hbEvery = DefaultHeartbeatEvery
@@ -283,9 +279,7 @@ func (e *procExecutor) Execute(ctx context.Context, job Job, attempt int) (*harn
 		Name:             job.Name,
 		Hash:             job.Hash(),
 		Attempt:          attempt,
-		CheckpointDir:    dir,
 		HeartbeatEveryMS: hbEvery.Milliseconds(),
-		MemLimit:         e.opt.MemLimit,
 		WantMetrics:      wantMetrics,
 		SLO:              e.opt.SLO,
 	})
@@ -305,7 +299,7 @@ func (e *procExecutor) Execute(ctx context.Context, job Job, attempt int) (*harn
 	pr := RunProc(ctx, ProcSpec{
 		Command:      e.opt.WorkerCommand,
 		Stdin:        req,
-		StdoutBuf:    &stdout,
+		Stdout:       &stdout,
 		Stderr:       os.Stderr,
 		StallTimeout: stallTimeout,
 		StallGrace:   e.opt.StallGrace,

@@ -33,8 +33,8 @@ import (
 //   - reads one workerRequest as JSON from stdin,
 //   - resolves the job by name in its own (identically built) job list
 //     and verifies the spec hash,
-//   - runs the attempt with the checkpoint directory and a heartbeat
-//     sink threaded through the context,
+//   - runs the attempt with a heartbeat sink threaded through the
+//     context,
 //   - streams framed heartbeats on inherited fd 3 — one "start" frame,
 //     throttled "grid" frames from each supervision-grid boundary of the
 //     simulation, one "done" frame,
@@ -70,9 +70,7 @@ type workerRequest struct {
 	Name             string `json:"name"`
 	Hash             string `json:"hash"`
 	Attempt          int    `json:"attempt"`
-	CheckpointDir    string `json:"checkpoint_dir,omitempty"`
 	HeartbeatEveryMS int64  `json:"heartbeat_every_ms,omitempty"`
-	MemLimit         int64  `json:"mem_limit,omitempty"`
 	// WantMetrics asks the worker to instrument its attempt with a local
 	// registry and piggyback metric deltas (and SLO alerts, when SLO is
 	// set) on its heartbeat frames.
@@ -101,10 +99,6 @@ type HeartbeatFrame struct {
 	Cycle uint64 `json:"cycle"`
 	// RSS is the worker's resident set size in bytes at emission.
 	RSS int64 `json:"rss"`
-	// CkptDegraded / CkptSaveFails mirror the simulation's checkpoint
-	// health at the grid point.
-	CkptDegraded  bool   `json:"ckpt_degraded,omitempty"`
-	CkptSaveFails uint64 `json:"ckpt_fails,omitempty"`
 	// Metrics carries the worker's instrument changes since the previous
 	// emitted frame (see obs.DeltaTracker); Alerts carries SLO
 	// transitions raised since then. Both are piggybacked — a frame
@@ -250,13 +244,7 @@ func (w *HeartbeatWriter) Beat(hb core.Heartbeat) {
 		return
 	}
 	w.last = time.Now()
-	w.writeLocked(HeartbeatFrame{
-		Kind:          FrameGrid,
-		Cycle:         w.lastCycle,
-		RSS:           readRSS(),
-		CkptDegraded:  hb.CheckpointDegraded,
-		CkptSaveFails: hb.CheckpointSaveFailures,
-	})
+	w.writeLocked(HeartbeatFrame{Kind: FrameGrid, Cycle: w.lastCycle, RSS: readRSS()})
 }
 
 // Emit writes an unthrottled frame (the start/done markers).
@@ -379,7 +367,6 @@ func ServeWorker(jobs []Job) int {
 		Name:           req.Name,
 		Hash:           req.Hash,
 		Attempt:        req.Attempt,
-		CheckpointDir:  req.CheckpointDir,
 		HeartbeatEvery: time.Duration(req.HeartbeatEveryMS) * time.Millisecond,
 		WantMetrics:    req.WantMetrics,
 		SLO:            req.SLO,
@@ -410,9 +397,6 @@ type Assignment struct {
 	Name    string
 	Hash    string
 	Attempt int
-	// CheckpointDir, when non-empty, is threaded into the attempt's
-	// context (see CheckpointDir).
-	CheckpointDir string
 	// HeartbeatEvery throttles grid frames (<=0 selects
 	// DefaultHeartbeatEvery).
 	HeartbeatEvery time.Duration
@@ -432,9 +416,8 @@ var (
 )
 
 // ServeAttempt is the worker side of one attempt, as ServeWorker runs
-// it for a stdin request. It resolves the job by name and verifies its spec hash,
-// threads the checkpoint directory and a HeartbeatWriter over sink into
-// the context, attaches a local registry and SLO monitor when metrics
+// it for a stdin request. It resolves the job by name and verifies its
+// spec hash, threads a HeartbeatWriter over sink into the context, attaches a local registry and SLO monitor when metrics
 // are wanted, and runs the attempt with panic containment between a
 // start and a done frame. An assignment that cannot be served returns
 // an error matching ErrUnknownJob or ErrSpecMismatch and emits no frame.
@@ -450,9 +433,6 @@ func ServeAttempt(ctx context.Context, jobs []Job, a Assignment, sink func(Heart
 	}
 
 	hw := NewHeartbeatWriter(sink, a.HeartbeatEvery)
-	if a.CheckpointDir != "" {
-		ctx = WithCheckpointDir(ctx, a.CheckpointDir)
-	}
 	ctx = core.WithHeartbeatFunc(ctx, hw.Beat)
 	if a.WantMetrics {
 		// Fleet telemetry: the attempt instruments itself into a local

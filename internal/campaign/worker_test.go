@@ -83,25 +83,13 @@ func workerSimSources() []trace.Source {
 }
 
 // runWorkerSim is the clean execution path shared by every worker job:
-// build the system, resume from the latest campaign checkpoint if one
-// exists, arm checkpointing and heartbeats, run to total, and render a
+// build the system, arm heartbeats, run to total, and render a
 // deterministic table. Byte-identity across inproc/process/crashed runs
 // reduces to this function being deterministic.
 func runWorkerSim(ctx context.Context, name string, total sim.Cycle) (*harness.Table, error) {
-	cfg := core.DefaultConfig()
-	sys, err := core.NewSystem(cfg, workerSimSources())
+	sys, err := core.NewSystem(core.DefaultConfig(), workerSimSources())
 	if err != nil {
 		return nil, err
-	}
-	remaining := total
-	if h, payload, ok := LatestCheckpoint(ctx, core.ConfigHash(cfg)); ok {
-		if err := sys.RestoreState(h, payload); err != nil {
-			return nil, err
-		}
-		remaining = total - sim.Cycle(h.Cycle)
-	}
-	if dir, ok := CheckpointDir(ctx); ok {
-		sys.SetCheckpointPolicy(core.CheckpointPolicy{Dir: dir, Every: core.SuperviseStride})
 	}
 	if fn := core.HeartbeatFuncFromContext(ctx); fn != nil {
 		sys.SetHeartbeat(fn)
@@ -111,7 +99,7 @@ func runWorkerSim(ctx context.Context, name string, total sim.Cycle) (*harness.T
 		// registry whose deltas ride the heartbeat frames.
 		sys.EnableObs(b, name)
 	}
-	if err := sys.RunContext(ctx, remaining); err != nil {
+	if err := sys.RunContext(ctx, total); err != nil {
 		return nil, err
 	}
 	tb := &harness.Table{Title: name, Columns: []string{"metric", "value"}}
@@ -135,9 +123,9 @@ func okJob(name string) Job {
 	}
 }
 
-// crashJob checkpoints through the first half of its simulation and then
-// SIGKILLs its own worker process — the hardest crash there is. The
-// retry resumes from the surviving checkpoints.
+// crashJob runs the first half of its simulation and then SIGKILLs its
+// own worker process — the hardest crash there is. The retry runs the
+// job again from the start.
 func crashJob() Job {
 	const total = 4 * core.SuperviseStride
 	return Job{
@@ -145,13 +133,9 @@ func crashJob() Job {
 		Spec: fmt.Sprintf("cycles=%d", total),
 		Run: func(ctx context.Context, attempt int) (*harness.Table, error) {
 			if InWorker() && attempt == 1 {
-				cfg := core.DefaultConfig()
-				sys, err := core.NewSystem(cfg, workerSimSources())
+				sys, err := core.NewSystem(core.DefaultConfig(), workerSimSources())
 				if err != nil {
 					return nil, err
-				}
-				if dir, ok := CheckpointDir(ctx); ok {
-					sys.SetCheckpointPolicy(core.CheckpointPolicy{Dir: dir, Every: core.SuperviseStride})
 				}
 				if fn := core.HeartbeatFuncFromContext(ctx); fn != nil {
 					sys.SetHeartbeat(fn)
@@ -289,7 +273,6 @@ func TestServeAttemptAssignmentTable(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var frames []HeartbeatFrame
-			c.a.CheckpointDir = t.TempDir()
 			c.a.HeartbeatEvery = time.Millisecond
 			table, lastCycle, err := ServeAttempt(context.Background(), jobs, c.a, func(f HeartbeatFrame) error {
 				frames = append(frames, f)
@@ -395,7 +378,6 @@ func TestProcessIsolationDisturbedByteIdentical(t *testing.T) {
 	opt := procOpts(t)
 	opt.Workers = 4
 	opt.Retries = 2
-	opt.CheckpointDir = t.TempDir()
 	opt.MemLimit = 256 << 20
 	opt.Journal = journal
 	opt.Progress = NewProgress(reg)
@@ -439,7 +421,7 @@ func TestProcessIsolationDisturbedByteIdentical(t *testing.T) {
 
 	// The worker instruments must have seen each escalation. Lower
 	// bounds, not exact counts: a heavily loaded host can add spurious
-	// (but harmless, checkpoint-resumed) restarts.
+	// (but harmless) restarts.
 	for name, want := range map[string]uint64{
 		"campaign.worker.restarts":      3,
 		"campaign.worker.stalls_killed": 1,

@@ -449,27 +449,6 @@ func (s *System) CheckpointManager() *ckpt.Manager {
 	return s.ckpt.mgr
 }
 
-// SaveCheckpoint immediately writes one checkpoint through the armed
-// policy and returns its path. Success clears any degradation episode
-// (the disk demonstrably works again); failure feeds the same
-// degradation bookkeeping as the automatic path.
-func (s *System) SaveCheckpoint() (string, error) {
-	if s.ckpt == nil {
-		return "", fmt.Errorf("core: no checkpoint policy set")
-	}
-	h, payload, err := s.CheckpointBytes(s.ckpt.extras...)
-	if err != nil {
-		return "", err
-	}
-	path, err := s.ckpt.mgr.Save(h, payload)
-	if err != nil {
-		s.ckpt.noteSaveFailure(s.Kernel.Now(), h, payload, err)
-		return "", err
-	}
-	s.ckpt.noteSaveSuccess(s.Kernel.Now())
-	return path, nil
-}
-
 // noteSaveFailure records one failed disk save: the checkpoint moves to
 // bounded in-memory retention, the retry schedule backs off
 // exponentially (every << streak, capped at 2^6), and the transition
@@ -522,6 +501,26 @@ func (s *System) maybeCheckpoint() {
 	} else if now-p.lastSaved < p.every {
 		return
 	}
+	s.writeCheckpoint()
+}
+
+// checkpointOnAbort is the best-effort save on the cancellation and
+// deadline return paths. A failed save is not reported: the abort cause
+// is the error the caller needs, and an older valid checkpoint, the
+// in-memory retention (which the failure fed), or a clean restart
+// remains available either way.
+func (s *System) checkpointOnAbort() {
+	if s.ckpt == nil {
+		return
+	}
+	s.writeCheckpoint()
+}
+
+// writeCheckpoint saves one checkpoint through the armed policy. Success
+// ends any degradation episode; failure feeds the degradation
+// bookkeeping.
+func (s *System) writeCheckpoint() {
+	p := s.ckpt
 	h, payload, err := s.CheckpointBytes(p.extras...)
 	if err != nil {
 		// CheckpointBytes cannot currently fail (typed events serialize
@@ -529,21 +528,10 @@ func (s *System) maybeCheckpoint() {
 		// future serializer grows a refusal condition.
 		return
 	}
+	now := s.Kernel.Now()
 	if _, err := p.mgr.Save(h, payload); err != nil {
 		p.noteSaveFailure(now, h, payload, err)
 		return
 	}
 	p.noteSaveSuccess(now)
-}
-
-// checkpointOnAbort is the best-effort save on the cancellation and
-// deadline return paths. Its error is deliberately dropped: the abort
-// cause is the error the caller needs, and an older valid checkpoint, the
-// in-memory retention (which SaveCheckpoint fed on failure), or a clean
-// restart remains available either way.
-func (s *System) checkpointOnAbort() {
-	if s.ckpt == nil {
-		return
-	}
-	_, _ = s.SaveCheckpoint()
 }

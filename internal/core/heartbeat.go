@@ -5,17 +5,12 @@ import "context"
 // Heartbeat is one liveness sample from the supervised run loop, emitted
 // at every supervision-grid point (SuperviseStride cycles). External
 // supervisors — the campaign's process-isolation monitor in particular —
-// use the arrival rate of heartbeats for stall detection and the payload
-// for health reporting; a simulation wedged inside one stride stops
-// producing them, which is exactly the signal a liveness monitor needs.
+// use the arrival rate of heartbeats for stall detection; a simulation
+// wedged inside one stride stops producing them, which is exactly the
+// signal a liveness monitor needs.
 type Heartbeat struct {
 	// Cycle is the absolute simulated cycle of the grid point.
 	Cycle uint64
-	// CheckpointDegraded and CheckpointSaveFailures mirror
-	// CheckpointHealth at the grid point (zero when no checkpoint policy
-	// is armed).
-	CheckpointDegraded     bool
-	CheckpointSaveFailures uint64
 }
 
 // SetHeartbeat installs fn to be called at every supervision-grid point

@@ -479,9 +479,7 @@ func (s *System) runSupervised(ctx context.Context, n sim.Cycle, pred func() boo
 				lastGrid, gridSampled = now, true
 			}
 			if s.heartbeat != nil {
-				hb := Heartbeat{Cycle: uint64(now)}
-				hb.CheckpointDegraded, hb.CheckpointSaveFailures = s.CheckpointHealth()
-				s.heartbeat(hb)
+				s.heartbeat(Heartbeat{Cycle: uint64(now)})
 			}
 			supAt = now + SuperviseStride
 		}

@@ -121,9 +121,9 @@ func robustnessRun(ctx context.Context, tc RobustnessCase, cycles sim.Cycle, see
 	sys.InjectFaults(inj)
 	m := sys.EnableChecks(check.Options{ReferenceTiming: &ref, FlowMaxAge: 50_000})
 
-	// The run error (when a checker fires) is part of the measured
-	// outcome, not a harness failure.
-	runErr := Protect("robustness/"+tc.Name, func() error { return sys.RunContext(ctx, cycles) })
+	// The run error (when a checker fires, or a panic RunContext
+	// recovered) is part of the measured outcome, not a harness failure.
+	runErr := sys.RunContext(ctx, cycles)
 	if cerr := ctx.Err(); cerr != nil {
 		return row, fmt.Errorf("harness: robustness run canceled: %w", cerr)
 	}

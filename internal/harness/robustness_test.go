@@ -2,36 +2,8 @@ package harness
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
-
-// TestProtectIsolatesFailure: a deliberately panicking experiment comes
-// back as an error — with the name and stack — and the next experiment
-// runs untouched. This is the suite-isolation guarantee cmd/experiments
-// relies on.
-func TestProtectIsolatesFailure(t *testing.T) {
-	err := Protect("deliberate-failure", func() error { panic("exploding experiment") })
-	if err == nil {
-		t.Fatal("panic escaped Protect")
-	}
-	if !strings.Contains(err.Error(), "deliberate-failure") ||
-		!strings.Contains(err.Error(), "exploding experiment") {
-		t.Fatalf("error lost the experiment name or panic value: %v", err)
-	}
-	if !strings.Contains(err.Error(), "goroutine") {
-		t.Fatalf("error carries no stack trace: %v", err)
-	}
-
-	// The harness is still healthy: the next experiment runs normally.
-	ran := false
-	if err := Protect("next", func() error { ran = true; return nil }); err != nil {
-		t.Fatalf("clean experiment after a failure: %v", err)
-	}
-	if !ran {
-		t.Fatal("subsequent experiment did not run")
-	}
-}
 
 // TestRobustnessMatrix runs the full fault matrix and requires every
 // class to meet its expectation: checked faults caught with diagnostics,

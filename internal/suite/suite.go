@@ -126,14 +126,7 @@ func Build(p Params) []Experiment {
 			Name: name,
 			Spec: spec,
 			Run: func(ctx context.Context, attempt int) (*harness.Table, error) {
-				ctx = obs.WithLabel(ctx, name)
-				var table *harness.Table
-				err := harness.Protect(name, func() error {
-					var e error
-					table, e = fn(ctx)
-					return e
-				})
-				return table, err
+				return fn(obs.WithLabel(ctx, name))
 			},
 		}
 	}

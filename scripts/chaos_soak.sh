@@ -4,8 +4,9 @@
 # time and byte-comparing the final report against a clean reference,
 # plus the in-process degradation suite (dead checkpoint disk, failing
 # journal, dying obs accept loop), a process-isolated campaign whose
-# worker SIGKILLs itself mid-job, and goroutine-leak and heap-growth
-# checks per iteration. See cmd/chaossoak.
+# worker SIGKILLs itself mid-job (the retry runs the job again from
+# cycle 0 and must match the in-process tables byte for byte), and
+# goroutine-leak and heap-growth checks per iteration. See cmd/chaossoak.
 #
 # Knobs (env):
 #   CHAOS_SOAK_ITERS  iterations (default 20)

@@ -4,7 +4,8 @@
 # lands, and require that the supervisor restarts it, the retry resumes
 # mid-run, the supervisor exits 0, and the final report is byte-identical
 # to a plain in-process run. Then the same byte-identity check for the
-# experiments driver's process-isolated campaign path.
+# experiments driver's process-isolated campaign path, on a simulating
+# experiment.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -89,9 +90,12 @@ at=$(sed -n 's/.*resumed from .* at cycle \([0-9]*\).*/\1/p' "$workdir/supervise
 echo "worker-smoke: camsim PASS (worker restarted, resumed at cycle ${at:-?}, output identical)"
 
 # Experiments driver: a process-isolated campaign must emit tables
-# byte-identical to the in-process campaign.
-"$workdir/experiments" -run table1,table2 >"$workdir/exp_inproc.txt" 2>/dev/null
-"$workdir/experiments" -run table1,table2 -isolation process \
+# byte-identical to the in-process campaign. fig11 simulates inside its
+# worker, which heartbeats from the simulation's supervision grid;
+# table1 is a static table.
+EXP_ARGS=(-run table1,fig11 -cycles 100000)
+"$workdir/experiments" "${EXP_ARGS[@]}" >"$workdir/exp_inproc.txt" 2>/dev/null
+"$workdir/experiments" "${EXP_ARGS[@]}" -isolation process \
   >"$workdir/exp_process.txt" 2>"$workdir/exp_process.err" || {
   echo "worker-smoke: process-isolated experiments run failed:" >&2
   cat "$workdir/exp_process.err" >&2
